@@ -131,24 +131,15 @@ void BM_ExactExpectedCost(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactExpectedCost)->Arg(1000)->Arg(4000)->Arg(10000)->Arg(16000);
 
-// The single exact sweep at scale: the serial reference
-// (Options::parallel_sweep = false — the pre-PR-5 sort-sweep) vs the
-// segmented engine (parallel radix + per-variable CDF trajectories +
-// ordered serial combine). On this 1-CPU container the parallel run
-// measures the engine's algorithmic effect (cache-friendly combine, no
-// divides in the dependent chain); wall-clock thread scaling needs a
-// many-core box. Outputs are bitwise identical either way
-// (tests/parallel_sweep_test.cc).
-void ExactSweepAtScale(benchmark::State& state, bool parallel) {
+// The single exact sort-sweep at scale (one UnassignedCost over k = 8
+// centers). The name keeps its "Serial" suffix so recorded rows stay
+// comparable.
+void BM_ExactSweepSerial(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto dataset = MakeDataset(n);
   const auto sites = dataset.LocationSites();
   auto centers = solver::Gonzalez(dataset.space(), sites, 8);
-  ThreadPool pool(parallel ? 0 : 1);
-  cost::ExpectedCostEvaluator::Options options;
-  options.parallel_sweep = parallel;
-  options.sweep_pool = parallel ? &pool : nullptr;
-  cost::ExpectedCostEvaluator evaluator(options);
+  cost::ExpectedCostEvaluator evaluator;
   for (auto _ : state) {
     auto value = evaluator.UnassignedCost(dataset, centers->centers);
     UKC_CHECK(value.ok()) << value.status();
@@ -157,20 +148,7 @@ void ExactSweepAtScale(benchmark::State& state, bool parallel) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(dataset.total_locations()));
 }
-
-void BM_ExactSweepSerial(benchmark::State& state) {
-  ExactSweepAtScale(state, /*parallel=*/false);
-}
 BENCHMARK(BM_ExactSweepSerial)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ExactSweepParallel(benchmark::State& state) {
-  ExactSweepAtScale(state, /*parallel=*/true);
-}
-BENCHMARK(BM_ExactSweepParallel)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000)
@@ -273,9 +251,8 @@ void BM_ParallelUnassignedCostBatch(benchmark::State& state) {
                           static_cast<int64_t>(center_sets.size()));
 }
 BENCHMARK(BM_ParallelUnassignedCostBatch)
-    ->Args({10000, 1})
-    ->Args({10000, 8})
-    ->Args({100000, 8});
+    ->ArgsProduct({{10000, 100000}, {1, 2, 4}})
+    ->UseRealTime();
 
 // One local-search round (k = 8 positions × 16 pool candidates = 128
 // swapped center sets), scored the PR 1 way: a full exact evaluation
@@ -329,9 +306,8 @@ void BM_SwapSweepBatch(benchmark::State& state) {
                           static_cast<int64_t>(8 * pool.size()));
 }
 BENCHMARK(BM_SwapSweepBatch)
-    ->Args({10000, 1})
-    ->Args({10000, 8})
-    ->Args({100000, 8});
+    ->ArgsProduct({{10000, 100000}, {1, 2, 4}})
+    ->UseRealTime();
 
 // A ≥3-round local-search trajectory through SwapCostMatrix: round r's
 // accepted argmin swap feeds round r+1 — the access pattern of
@@ -1067,7 +1043,7 @@ void BM_MetricsCounter(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MetricsCounter)->ThreadRange(1, 8);
+BENCHMARK(BM_MetricsCounter)->ThreadRange(1, 4)->UseRealTime();
 
 void BM_MetricsHistogram(benchmark::State& state) {
   obs::Histogram* histogram =
@@ -1080,7 +1056,7 @@ void BM_MetricsHistogram(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MetricsHistogram)->ThreadRange(1, 8);
+BENCHMARK(BM_MetricsHistogram)->ThreadRange(1, 4)->UseRealTime();
 
 }  // namespace
 }  // namespace ukc

@@ -138,9 +138,6 @@ Result<UnassignedSolution> LocalSearchUnassigned(
   cost::ExpectedCostEvaluator::Options scalar_options;
   scalar_options.kdtree_cutover = std::numeric_limits<size_t>::max();
   scalar_options.deadline = options.deadline;
-  // The scalar seed evaluation runs at top level, so its segmented
-  // sweep may borrow the caller's pool (never re-entered from a job).
-  scalar_options.sweep_pool = options.pool;
   cost::ExpectedCostEvaluator evaluator(scalar_options);
   UKC_ASSIGN_OR_RETURN(solution.expected_cost,
                        evaluator.UnassignedCost(*dataset, solution.centers));

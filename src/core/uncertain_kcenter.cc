@@ -118,10 +118,9 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
   solution.timings.assignment_seconds = stopwatch.ElapsedSeconds();
 
   // 4. Exact evaluation (one evaluator shares scratch across both
-  // objectives; its segmented sweep borrows the run's shared pool).
+  // objectives).
   stopwatch.Reset();
   cost::ExpectedCostEvaluator::Options evaluator_options;
-  evaluator_options.sweep_pool = pool.get();
   evaluator_options.deadline = options.deadline;
   cost::ExpectedCostEvaluator evaluator(evaluator_options);
   UKC_ASSIGN_OR_RETURN(solution.expected_cost,

@@ -11,7 +11,6 @@
 #include "common/strings.h"
 #include "metric/euclidean_space.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "uncertain/sampler.h"
 
 namespace ukc {
@@ -91,20 +90,11 @@ struct CdfProduct {
   /// Folds one CDF step of a variable: old -> new (new > old >= 0).
   void Apply(double old_cdf, double new_cdf) {
     if (old_cdf == 0.0) {
-      ApplyRatio(/*from_zero=*/true, new_cdf);
+      --zeros;
+      mantissa *= new_cdf;
     } else {
-      ApplyRatio(/*from_zero=*/false, new_cdf / old_cdf);
+      mantissa *= new_cdf / old_cdf;
     }
-  }
-
-  /// The primitive Apply reduces to, shared with the segmented sweep's
-  /// combine (which precomputes the ratios in parallel): one multiply
-  /// plus the lazy renormalization. Keeping both paths on this exact
-  /// arithmetic is what makes the segmented sweep bitwise identical to
-  /// the serial scan.
-  void ApplyRatio(bool from_zero, double ratio) {
-    if (from_zero) --zeros;
-    mantissa *= ratio;
     if (mantissa < 0x1p-16 || mantissa >= 0x1p16) {
       int shift;
       mantissa = std::frexp(mantissa, &shift);
@@ -125,8 +115,7 @@ void ExpectedCostEvaluator::SortEventsByValue() {
   if (count < kRadixSortCutover) {
     // The (value, location) tiebreak spells out what the stable radix
     // below does implicitly (every fill writes ascending locations), so
-    // the two regimes — and the segmented engine's parallel radix —
-    // produce one permutation.
+    // the two regimes produce one permutation.
     std::sort(events_.begin(), events_.end(),
               [](const Event& a, const Event& b) {
                 return a.value != b.value ? a.value < b.value
@@ -172,215 +161,8 @@ void ExpectedCostEvaluator::SortEventsByValue() {
   if (swapped) events_.swap(events_scratch_);
 }
 
-void ExpectedCostEvaluator::RadixSortEventsByValue(ThreadPool* pool,
-                                                   bool track_positions) {
-  const size_t count = events_.size();
-  if (track_positions) {
-    perm_.resize(count);
-    for (size_t i = 0; i < count; ++i) perm_[i] = static_cast<uint32_t>(i);
-    perm_scratch_.resize(count);
-  }
-  if (count <= 1) return;
-  constexpr int kPasses = 4;
-  constexpr size_t kBuckets = 65536;
-  const size_t shards =
-      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
-  events_scratch_.resize(count);
-  const auto run_phase = [&](const auto& fn) {
-    if (pool != nullptr && shards > 1) {
-      pool->ParallelFor(shards, [&fn](int, size_t s) { fn(s); });
-    } else {
-      for (size_t s = 0; s < shards; ++s) fn(s);
-    }
-  };
-  const auto shard_begin = [&](size_t s) { return count * s / shards; };
-
-  // Per-shard histograms of every pass over the initial arrangement.
-  // The per-pass TOTALS are arrangement-invariant (they only count
-  // digits), so the skip decision below stays valid across scatters;
-  // the per-shard splits go stale after the first scatter and are
-  // recomputed per remaining pass.
-  shard_counts_.assign(shards * kPasses * kBuckets, 0);
-  run_phase([&](size_t s) {
-    uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
-    const size_t end = shard_begin(s + 1);
-    for (size_t i = shard_begin(s); i < end; ++i) {
-      const uint64_t key = OrderedBits(events_[i].value);
-      for (int p = 0; p < kPasses; ++p) {
-        ++counts[p * kBuckets + ((key >> (16 * p)) & 0xFFFF)];
-      }
-    }
-  });
-  radix_counts_.assign(kPasses * kBuckets, 0);
-  for (size_t s = 0; s < shards; ++s) {
-    const uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
-    for (size_t b = 0; b < kPasses * kBuckets; ++b) radix_counts_[b] += counts[b];
-  }
-
-  Event* src = events_.data();
-  Event* dst = events_scratch_.data();
-  uint32_t* psrc = track_positions ? perm_.data() : nullptr;
-  uint32_t* pdst = track_positions ? perm_scratch_.data() : nullptr;
-  bool swapped = false;
-  bool scattered = false;
-  for (int p = 0; p < kPasses; ++p) {
-    const uint32_t* total = radix_counts_.data() + p * kBuckets;
-    const uint64_t first_digit = (OrderedBits(src[0].value) >> (16 * p)) & 0xFFFF;
-    if (total[first_digit] == count) continue;  // All keys share this digit.
-    if (scattered && shards > 1) {
-      run_phase([&](size_t s) {
-        uint32_t* counts = shard_counts_.data() + (s * kPasses + p) * kBuckets;
-        std::fill(counts, counts + kBuckets, 0);
-        const size_t end = shard_begin(s + 1);
-        for (size_t i = shard_begin(s); i < end; ++i) {
-          ++counts[(OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF];
-        }
-      });
-    }
-    // Exact serial prefix over the combined histograms in (bucket,
-    // shard) order: shard s's slice of bucket b starts after every
-    // smaller bucket and after shards < s within b — precisely where
-    // the serial stable scatter would have put those elements, so the
-    // parallel result is bitwise identical at every shard count.
-    uint32_t running = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      for (size_t s = 0; s < shards; ++s) {
-        uint32_t* slot = shard_counts_.data() + (s * kPasses + p) * kBuckets + b;
-        const uint32_t c = *slot;
-        *slot = running;
-        running += c;
-      }
-    }
-    run_phase([&](size_t s) {
-      uint32_t* off = shard_counts_.data() + (s * kPasses + p) * kBuckets;
-      const size_t end = shard_begin(s + 1);
-      for (size_t i = shard_begin(s); i < end; ++i) {
-        const uint64_t digit = (OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF;
-        const uint32_t slot = off[digit]++;
-        dst[slot] = src[i];
-        if (psrc != nullptr) pdst[slot] = psrc[i];
-      }
-    });
-    std::swap(src, dst);
-    if (track_positions) std::swap(psrc, pdst);
-    swapped = !swapped;
-    scattered = true;
-  }
-  if (swapped) {
-    events_.swap(events_scratch_);
-    if (track_positions) perm_.swap(perm_scratch_);
-  }
-}
-
-double ExpectedCostEvaluator::SweepEventsSegmented(
-    size_t num_variables, std::span<const size_t> var_offsets) {
-  const size_t count = events_.size();
-  UKC_CHECK_EQ(var_offsets.size(), num_variables + 1);
-  UKC_CHECK_EQ(var_offsets[num_variables], count);
-  ThreadPool* pool = SweepPool();
-  const size_t shards =
-      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
-  const auto run_phase = [&](const auto& fn) {
-    if (pool != nullptr && shards > 1) {
-      pool->ParallelFor(shards, [&fn](int, size_t s) { fn(s); });
-    } else {
-      for (size_t s = 0; s < shards; ++s) fn(s);
-    }
-  };
-  // Phase timers land in ukc_sweep_phase_seconds{phase=}; handles come
-  // off the default registry per sweep (one mutex-guarded lookup per
-  // phase, amortized over the whole segmented pass — this path only
-  // engages above the segmented-sweep event threshold).
-  [[maybe_unused]] obs::MetricsRegistry& obs_registry =
-      obs::MetricsRegistry::Default();
-  [[maybe_unused]] const char* phase_name = "ukc_sweep_phase_seconds";
-  [[maybe_unused]] const char* phase_help =
-      "Segmented exact-sweep phase wall time";
-
-  // Phase 1: stable parallel radix by value, tracking where each
-  // pre-sort event landed.
-  {
-    UKC_OBS_TIMER(
-        obs_registry.GetHistogram(phase_name, phase_help, {{"phase", "radix"}}));
-    RadixSortEventsByValue(pool, /*track_positions=*/true);
-  }
-
-  // Phase 2: invert the permutation (disjoint writes; perm_ is a
-  // bijection).
-  inv_.resize(count);
-  {
-    UKC_OBS_TIMER(obs_registry.GetHistogram(phase_name, phase_help,
-                                            {{"phase", "invert"}}));
-    run_phase([&](size_t s) {
-      const size_t begin = count * s / shards;
-      const size_t end = count * (s + 1) / shards;
-      for (size_t e = begin; e < end; ++e) inv_[perm_[e]] = static_cast<uint32_t>(e);
-    });
-  }
-
-  // Phase 3: per-variable CDF trajectories over variable segments. A
-  // variable's sorted positions ascend exactly in its serial
-  // application order (stable sort), so walking them ascending
-  // reproduces the serial per-variable chain old -> old + p bit for
-  // bit; each step is stored as the product ratio Apply would multiply
-  // by. Variables are disjoint, so segments need no cross-talk.
-  ratio_.resize(count);
-  ratio_zero_.resize(count);
-  {
-    UKC_OBS_TIMER(
-        obs_registry.GetHistogram(phase_name, phase_help, {{"phase", "cdf"}}));
-    run_phase([&](size_t s) {
-      const size_t var_begin = num_variables * s / shards;
-      const size_t var_end = num_variables * (s + 1) / shards;
-      std::vector<uint32_t> order;
-      for (size_t v = var_begin; v < var_end; ++v) {
-        order.clear();
-        for (size_t l = var_offsets[v]; l < var_offsets[v + 1]; ++l) {
-          order.push_back(inv_[l]);
-        }
-        std::sort(order.begin(), order.end());
-        double cdf = 0.0;
-        for (const uint32_t g : order) {
-          const double next = cdf + events_[g].probability;
-          ratio_zero_[g] = cdf == 0.0;
-          ratio_[g] = cdf == 0.0 ? next : next / cdf;
-          cdf = next;
-        }
-      }
-    });
-  }
-
-  // Phase 4: the ordered serial combine — the serial scan's exact
-  // multiply/renormalize/emit sequence with the CDF bookkeeping and
-  // divisions hoisted into the parallel phases above.
-  UKC_OBS_TIMER(obs_registry.GetHistogram(phase_name, phase_help,
-                                          {{"phase", "combine"}}));
-  CdfProduct product(num_variables);
-  KahanSum expectation;
-  double previous_cdf_product = 0.0;
-  size_t e = 0;
-  while (e < count) {
-    const double value = events_[e].value;
-    while (e < count && events_[e].value == value) {
-      product.ApplyRatio(ratio_zero_[e] != 0, ratio_[e]);
-      ++e;
-    }
-    if (product.zeros == 0) {
-      const double cdf_product = product.Value();
-      const double mass = cdf_product - previous_cdf_product;
-      if (mass > 0.0) expectation.Add(value * mass);
-      previous_cdf_product = cdf_product;
-    }
-  }
-  return expectation.Total();
-}
-
-double ExpectedCostEvaluator::SweepEvents(size_t num_variables,
-                                          std::span<const size_t> var_offsets) {
+double ExpectedCostEvaluator::SweepEvents(size_t num_variables) {
   UKC_CHECK_GT(num_variables, 0u);
-  if (!var_offsets.empty() && UseSegmentedSweep(events_.size())) {
-    return SweepEventsSegmented(num_variables, var_offsets);
-  }
   SortEventsByValue();
   cdf_.assign(num_variables, 0.0);
 
@@ -422,10 +204,8 @@ double ExpectedCostEvaluator::ExpectedMaxOfIndependent(
   for (const auto& d : distributions) total += d.size();
   events_.clear();
   events_.reserve(total);
-  var_offsets_scratch_.resize(n + 1);
   for (size_t i = 0; i < n; ++i) {
     UKC_CHECK(!distributions[i].empty());
-    var_offsets_scratch_[i] = events_.size();
     for (const auto& [value, probability] : distributions[i]) {
       UKC_CHECK_GT(probability, 0.0);
       // location = fill position, so value ties keep one order across
@@ -435,8 +215,7 @@ double ExpectedCostEvaluator::ExpectedMaxOfIndependent(
                               probability});
     }
   }
-  var_offsets_scratch_[n] = events_.size();
-  return SweepEvents(n, var_offsets_scratch_);
+  return SweepEvents(n);
 }
 
 Result<double> ExpectedCostEvaluator::AssignedCost(
@@ -490,7 +269,7 @@ Result<double> ExpectedCostEvaluator::AssignedCost(
       }
     }
   }
-  return SweepEvents(dataset.n(), dataset.offsets());
+  return SweepEvents(dataset.n());
 }
 
 Status ExpectedCostEvaluator::FillUnassignedEvents(
@@ -599,7 +378,7 @@ Result<double> ExpectedCostEvaluator::UnassignedCost(
   UKC_RETURN_IF_ERROR(options_.deadline.Check("UnassignedCost"));
   UKC_RETURN_IF_ERROR(FillUnassignedEvents(dataset, centers));
   if (dataset.n() == 0) return 0.0;
-  return SweepEvents(dataset.n(), dataset.offsets());
+  return SweepEvents(dataset.n());
 }
 
 Result<std::vector<double>> ExpectedCostEvaluator::UnassignedCostBatch(
@@ -629,30 +408,15 @@ Status ExpectedCostEvaluator::BuildSwapBase(
   const double* probabilities = dataset.flat_probabilities().data();
   CheckScratchReservation();
 
-  // Sorted (value, location) base event stream. The LSD radix is stable
-  // over the ascending location fill; the small-input std::sort spells
-  // the tiebreak out.
+  // Sorted (value, location) base event stream, filled in ascending
+  // location order as SortEventsByValue requires.
   events_.clear();
   events_.reserve(total);
   for (size_t l = 0; l < total; ++l) {
     events_.push_back(Event{base_distances[l], point_of[l],
                             static_cast<uint32_t>(l), probabilities[l]});
   }
-  if (events_.size() < kRadixSortCutover) {
-    std::sort(events_.begin(), events_.end(),
-              [](const Event& a, const Event& b) {
-                return a.value != b.value ? a.value < b.value
-                                          : a.location < b.location;
-              });
-  } else if (options_.parallel_sweep && SweepPool() != nullptr) {
-    // Same stable permutation as the serial radix, sharded over the
-    // pool — available when this evaluator is driven from the top
-    // level (ParallelCandidateEvaluator's single-stale-table rollover
-    // rounds), not from inside a pool job.
-    RadixSortEventsByValue(SweepPool(), /*track_positions=*/false);
-  } else {
-    SortEventsByValue();
-  }
+  SortEventsByValue();
   out->events.assign(events_.begin(), events_.end());
   FinishSwapBase(dataset, base_distances, out);
   return Status::OK();
@@ -1417,16 +1181,6 @@ void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
   changed_tail_.reserve(total_locations);
   swap_first_.reserve(n);
   swap_order_.reserve(n);
-  if (options_.parallel_sweep && options_.sweep_pool != nullptr) {
-    // Segmented-engine buffers (~21 bytes/location) only where the
-    // engine can actually run: worker evaluators inside a pool keep
-    // sweep_pool null and must not hold dead reservations.
-    perm_.reserve(total_locations);
-    perm_scratch_.reserve(total_locations);
-    inv_.reserve(total_locations);
-    ratio_.reserve(total_locations);
-    ratio_zero_.reserve(total_locations);
-  }
   scratch_reservation_ = std::max(scratch_reservation_, total_locations);
   scratch_reservation_points_ = std::max(scratch_reservation_points_, n);
 }

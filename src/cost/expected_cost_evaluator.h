@@ -134,24 +134,9 @@ class ExpectedCostEvaluator {
     /// Threads fanning out over Monte-Carlo samples; 1 = sequential
     /// (and bit-identical to the historical estimator).
     int monte_carlo_threads = 1;
-    /// Use the segmented exact-sweep engine (parallel radix sort +
-    /// per-variable CDF trajectories + ordered serial combine) for
-    /// sweeps of at least parallel_sweep_cutover events when sweep_pool
-    /// offers real parallelism. The engine is bitwise identical to the
-    /// serial scan at every thread count — false keeps the plain
-    /// serial sort-sweep as the reference path.
-    bool parallel_sweep = true;
-    /// Event count below which the serial sweep is used even when
-    /// parallel_sweep is on (the segmented engine's extra passes only
-    /// pay off on large streams). Tests set 1 to force the engine.
-    size_t parallel_sweep_cutover = 32768;
-    /// Borrowed pool fanning out the segmented engine's phases. Null —
-    /// or a 1-thread pool — keeps the serial sweep: the engine trades
-    /// extra memory passes for parallel phases, so without real
-    /// parallelism the serial scan is the faster identical-result
-    /// path (measured in BM_ExactSweep{Serial,Parallel}). Callers
-    /// running the evaluator from inside a pool job must leave this
-    /// null (a pool must not be re-entered from one of its own jobs).
+    /// Ignored: every exact evaluation runs the serial sort-sweep. Kept
+    /// only so the end-to-end benchmark, which still sets it, compiles;
+    /// delete it together with that assignment.
     ThreadPool* sweep_pool = nullptr;
     /// Cancellation/budget token checked once per evaluation entry
     /// (per candidate on batch and swap paths — coarse on purpose, so
@@ -412,52 +397,14 @@ class ExpectedCostEvaluator {
   // and the tie-spelled std::sort produce the same permutation.
   void SortEventsByValue();
 
-  // The segmented engine's sort: stable LSD radix by value, sharded
-  // over `pool` (per-worker histograms over contiguous event shards,
-  // one exact serial prefix over the combined histograms, per-worker
-  // scatters into precomputed disjoint destination ranges). Bitwise
-  // identical to the serial radix — and to SortEventsByValue — at
-  // every thread count. With track_positions, perm_[e] is left holding
-  // the pre-sort position of sorted event e.
-  void RadixSortEventsByValue(ThreadPool* pool, bool track_positions);
-
-  // The pool the segmented engine may fan out over: the configured
-  // sweep_pool when it offers real parallelism, else null (the serial
-  // path wins at one thread — see Options::sweep_pool).
-  ThreadPool* SweepPool() const {
-    return options_.sweep_pool != nullptr &&
-                   options_.sweep_pool->num_threads() > 1
-               ? options_.sweep_pool
-               : nullptr;
-  }
-
-  // True when the current options route a sweep of `count` events
-  // through the segmented engine.
-  bool UseSegmentedSweep(size_t count) const {
-    return options_.parallel_sweep && SweepPool() != nullptr &&
-           count >= options_.parallel_sweep_cutover;
-  }
-
   // The no-shrink tripwire armed by ReserveScratch: a swap-base build
   // whose scratch capacity dropped below the reservation means
   // something deallocated mid-trajectory — crash, don't churn.
   void CheckScratchReservation() const;
 
   // Sorts events_ and runs the value-axis sweep for `num_variables`
-  // variables (resets cdf_ on the serial path). var_offsets delimits
-  // each variable's pre-sort event range (the CSR offsets array for
-  // dataset sweeps); an empty span forces the serial path.
-  double SweepEvents(size_t num_variables,
-                     std::span<const size_t> var_offsets = {});
-
-  // The segmented sweep: after the (tracked) parallel sort, the
-  // per-variable CDF trajectories are computed in parallel over
-  // variable segments — each event's CDF step becomes a precomputed
-  // product ratio — and one ordered serial combine replays exactly the
-  // serial scan's multiply/renormalize/emit sequence. Bitwise
-  // identical to the serial SweepEvents at every thread count.
-  double SweepEventsSegmented(size_t num_variables,
-                              std::span<const size_t> var_offsets);
+  // variables (resets cdf_).
+  double SweepEvents(size_t num_variables);
 
   // Resets changed_ and advances the stamp masks for a new candidate's
   // collection pass.
@@ -534,19 +481,6 @@ class ExpectedCostEvaluator {
   std::vector<Event> events_scratch_;   // Radix-sort ping-pong buffer.
   std::vector<uint32_t> radix_counts_;  // Radix-sort histograms.
   std::vector<double> cdf_;
-
-  // Segmented-engine scratch: the position permutation tracked through
-  // the parallel radix (perm_: sorted -> pre-sort, inv_: pre-sort ->
-  // sorted), the per-event precomputed product ratios / zero flags,
-  // per-shard radix histograms, and the per-variable offsets built for
-  // non-CSR fills (ExpectedMaxOfIndependent).
-  std::vector<uint32_t> perm_;
-  std::vector<uint32_t> perm_scratch_;
-  std::vector<uint32_t> inv_;
-  std::vector<double> ratio_;
-  std::vector<uint8_t> ratio_zero_;
-  std::vector<uint32_t> shard_counts_;
-  std::vector<size_t> var_offsets_scratch_;
 
   // Scratch reservation high-water (events); 0 = never reserved. Swap
   // base builds CHECK capacity never drops below it (no reallocation

@@ -52,28 +52,10 @@ ParallelCandidateEvaluator::ParallelCandidateEvaluator(Options options)
     : options_(options), pool_(options.pool, options.threads) {
   ExpectedCostEvaluator::Options worker_options = options_.evaluator;
   worker_options.monte_carlo_threads = 1;  // The pool is the only fan-out.
-  worker_options.sweep_pool = nullptr;     // Workers run inside pool jobs.
   evaluators_ = std::vector<ExpectedCostEvaluator>(pool_->num_threads());
   for (ExpectedCostEvaluator& evaluator : evaluators_) {
     evaluator.set_options(worker_options);
   }
-  // The main evaluator runs on the calling thread only, so its
-  // segmented sweeps may fan out over the shared pool.
-  ExpectedCostEvaluator::Options main_options = worker_options;
-  main_options.sweep_pool = pool_.get();
-  main_evaluator_.set_options(main_options);
-}
-
-bool ParallelCandidateEvaluator::SweepsInsideCandidates(
-    const uncertain::UncertainDataset& dataset) const {
-  // Trading candidate-level sharding for within-sweep parallelism only
-  // pays when the main evaluator's segmented engine will actually
-  // engage on this dataset's streams — otherwise the serial loop
-  // would simply forfeit the workers.
-  return options_.evaluator.parallel_sweep &&
-         pool_->num_threads() > 1 &&
-         dataset.total_locations() >=
-             options_.evaluator.parallel_sweep_cutover;
 }
 
 template <typename Fn>
@@ -92,20 +74,6 @@ Result<std::vector<double>> ParallelCandidateEvaluator::UnassignedCostBatch(
     const uncertain::UncertainDataset& dataset,
     const std::vector<std::vector<metric::SiteId>>& center_sets) {
   std::vector<double> values(center_sets.size());
-  if (center_sets.size() * 2 <= static_cast<size_t>(threads()) &&
-      SweepsInsideCandidates(dataset)) {
-    // Too few candidates to keep the workers busy across candidates,
-    // and each candidate's sweep is big enough for the segmented
-    // engine: evaluate serially on the main evaluator and let the
-    // sweep fan out instead. Results are bitwise identical to the
-    // sharded path (the sweep is thread-count invariant).
-    for (size_t s = 0; s < center_sets.size(); ++s) {
-      UKC_ASSIGN_OR_RETURN(values[s],
-                           main_evaluator_.UnassignedCost(dataset,
-                                                          center_sets[s]));
-    }
-    return values;
-  }
   UKC_RETURN_IF_ERROR(RunTasks(
       center_sets.size(), [&](int worker, size_t s) -> Status {
         UKC_ASSIGN_OR_RETURN(
@@ -119,15 +87,6 @@ Result<std::vector<double>> ParallelCandidateEvaluator::AssignedCostBatch(
     const uncertain::UncertainDataset& dataset,
     const std::vector<Assignment>& assignments) {
   std::vector<double> values(assignments.size());
-  if (assignments.size() * 2 <= static_cast<size_t>(threads()) &&
-      SweepsInsideCandidates(dataset)) {
-    for (size_t a = 0; a < assignments.size(); ++a) {
-      UKC_ASSIGN_OR_RETURN(values[a],
-                           main_evaluator_.AssignedCost(dataset,
-                                                        assignments[a]));
-    }
-    return values;
-  }
   UKC_RETURN_IF_ERROR(RunTasks(
       assignments.size(), [&](int worker, size_t a) -> Status {
         UKC_ASSIGN_OR_RETURN(
@@ -189,7 +148,6 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     for (ExpectedCostEvaluator& evaluator : evaluators_) {
       evaluator.ReserveScratch(reserved_points_, reserved_locations_);
     }
-    main_evaluator_.ReserveScratch(reserved_points_, reserved_locations_);
   }
   const metric::SiteId* sites = dataset.flat_sites().data();
   const metric::EuclideanSpace* euclidean = dataset.euclidean();
@@ -350,18 +308,10 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     swap_bases_[p].epoch = swap_epoch_;  // Freshly rebuilt: validated.
     return Status::OK();
   };
-  if (stale_tables.size() == 1) {
-    // A single stale table (the steady rollover round) has nothing to
-    // shard per position — build it on the main evaluator instead,
-    // whose presort radix fans out over the pool. Bitwise identical:
-    // the parallel sort computes the same stable permutation.
-    UKC_RETURN_IF_ERROR(build_table(main_evaluator_, stale_tables[0]));
-  } else {
-    UKC_RETURN_IF_ERROR(
-        RunTasks(stale_tables.size(), [&](int worker, size_t index) -> Status {
-          return build_table(evaluators_[worker], stale_tables[index]);
-        }));
-  }
+  UKC_RETURN_IF_ERROR(
+      RunTasks(stale_tables.size(), [&](int worker, size_t index) -> Status {
+        return build_table(evaluators_[worker], stale_tables[index]);
+      }));
 
   // Location kd-tree + per-position subtree maxima for the pruned
   // candidate scans. The tree is a pure function of the location
@@ -511,7 +461,6 @@ Status ParallelCandidateEvaluator::ApplyDatasetEdit(
     for (ExpectedCostEvaluator& evaluator : evaluators_) {
       evaluator.ReserveScratch(reserved_points_, reserved_locations_);
     }
-    main_evaluator_.ReserveScratch(reserved_points_, reserved_locations_);
   }
   const metric::SiteId* sites = dataset.flat_sites().data();
   const metric::Norm norm = euclidean->norm();
@@ -624,7 +573,7 @@ size_t ParallelCandidateEvaluator::SwapBaseMemoryBytes() const {
 }
 
 uint64_t ParallelCandidateEvaluator::LadderEscalations() const {
-  uint64_t escalations = main_evaluator_.ladder_escalations();
+  uint64_t escalations = 0;
   for (const ExpectedCostEvaluator& evaluator : evaluators_) {
     escalations += evaluator.ladder_escalations();
   }
@@ -632,7 +581,7 @@ uint64_t ParallelCandidateEvaluator::LadderEscalations() const {
 }
 
 uint64_t ParallelCandidateEvaluator::LadderReplayedEvents() const {
-  uint64_t events = main_evaluator_.ladder_replayed_events();
+  uint64_t events = 0;
   for (const ExpectedCostEvaluator& evaluator : evaluators_) {
     events += evaluator.ladder_replayed_events();
   }

@@ -70,12 +70,7 @@ class ParallelCandidateEvaluator {
     /// sizes one worker evaluator per pool thread.
     ThreadPool* pool = nullptr;
     /// Per-worker evaluator configuration. monte_carlo_threads is
-    /// forced to 1 and sweep_pool is forced null for the workers (a
-    /// pool must not be re-entered from inside its own jobs); the
-    /// separate MAIN evaluator — used for batches too small to shard
-    /// and for single-stale-table swap rounds — gets sweep_pool wired
-    /// to this evaluator's pool, so those calls parallelize INSIDE the
-    /// sweep instead (bitwise identical either way).
+    /// forced to 1 for the workers: the pool is the only fan-out.
     ExpectedCostEvaluator::Options evaluator;
     /// Roll SwapCostMatrix base tables across calls when the dataset is
     /// unchanged and at most one center differs (bitwise identical to a
@@ -175,13 +170,6 @@ class ParallelCandidateEvaluator {
                      const std::function<Status(ExpectedCostEvaluator&, size_t)>& fn);
 
  private:
-  // True when a small batch should run serially on the main evaluator
-  // with the segmented sweep fanning out inside each candidate: the
-  // engine must be enabled, the pool real, and the dataset's streams
-  // at least the engine cutover (else the serial loop would forfeit
-  // the workers for nothing).
-  bool SweepsInsideCandidates(const uncertain::UncertainDataset& dataset) const;
-
   // Runs fn(worker, index) over [0, count) on the pool, collecting one
   // Status per index; returns the first error in index order.
   template <typename Fn>
@@ -192,10 +180,6 @@ class ParallelCandidateEvaluator {
   // One per worker; vector never reallocates after construction (the
   // evaluator is pinned by its atomic owner mark).
   std::vector<ExpectedCostEvaluator> evaluators_;
-  // The top-level evaluator whose segmented sweeps fan out over pool_
-  // (see Options::evaluator). Only ever run from the calling thread,
-  // never from inside a pool job.
-  ExpectedCostEvaluator main_evaluator_;
   // Last ReserveScratch sizing handed to the evaluators (dataset
   // header: points, total locations); re-issued only when it grows.
   size_t reserved_points_ = 0;

@@ -1,11 +1,14 @@
 #include "serve/registry.h"
 
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/strings.h"
 #include "obs/trace.h"
+#include "stream/ingest.h"
+#include "uncertain/uncertain_point.h"
 
 namespace ukc {
 namespace serve {
@@ -151,6 +154,25 @@ Status TenantRegistry::SubmitAppend(
         StrFormat("SubmitAppend: unknown tenant %s", id.c_str()));
   }
   Slot& slot = it->second;
+  // Out-of-domain coordinates are refused at admission, per point and
+  // with the same ValidateCoordinates message as the file and producer
+  // paths. A batch with an inconsistent layout is left to the
+  // structural check Tenant::Append runs in Drain.
+  if (stream::ValidateBatch(batch, batch.dim).ok()) {
+    const std::span<const double> coords(batch.coords);
+    for (size_t i = 0; i < batch.n(); ++i) {
+      const size_t begin = batch.offsets[i] * batch.dim;
+      const size_t end = batch.offsets[i + 1] * batch.dim;
+      const Status valid = uncertain::ValidateCoordinates(
+          coords.subspan(begin, end - begin), batch.dim);
+      if (!valid.ok()) {
+        ++stats_.appends_refused;
+        metric_.appends_refused->Increment();
+        return valid.WithPrefix(StrFormat("SubmitAppend: tenant %s point %zu",
+                                          id.c_str(), i));
+      }
+    }
+  }
   // The enqueue boundary is fault-injectable: an injected kUnavailable
   // models a transient admission failure (client may retry); the
   // status returned by the macro is counted and propagated as-is.

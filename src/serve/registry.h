@@ -103,8 +103,10 @@ class TenantRegistry {
   size_t QueueDepth(const std::string& id) const;
 
   /// Admission control: copies `batch` into the tenant's queue.
-  /// Rejections, in order of checking: unknown tenant (kNotFound),
-  /// injected `serve.enqueue` fault (as injected), degraded tenant
+  /// Rejections, in order of checking: unknown tenant (kNotFound), a
+  /// coordinate outside uncertain::ValidateCoordinates' domain
+  /// (kInvalidArgument, counted as refused), injected `serve.enqueue`
+  /// fault (as injected), degraded tenant
   /// (kFailedPrecondition — not retryable by design), full queue
   /// (marked kUnavailable shed, see IsShed).
   Status SubmitAppend(const std::string& id,

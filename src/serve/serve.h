@@ -102,7 +102,7 @@ struct ServeStats {
   uint64_t appends_submitted = 0;   // SubmitAppend calls.
   uint64_t appends_shed = 0;        // Rejected: queue full.
   uint64_t enqueue_faults = 0;      // Rejected: serve.enqueue fault.
-  uint64_t appends_refused = 0;     // Rejected: tenant degraded.
+  uint64_t appends_refused = 0;     // Rejected: degraded or bad coords.
   uint64_t appends_applied = 0;     // Acked into a live coreset.
   uint64_t append_failures = 0;     // Tenant::Append errors in Drain.
   uint64_t snapshots_saved = 0;

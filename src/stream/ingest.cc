@@ -166,14 +166,18 @@ Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
             static_cast<unsigned long long>(state->index),
             state->coords.size(), state->probabilities.size(), dim));
       }
-      // The same distribution invariant — via the same helper — as
-      // UncertainPoint::Build and DatasetReader::ReadChunk; a producer
-      // that broke it would silently void the verified bracket's rigor.
-      UKC_RETURN_IF_ERROR(
-          uncertain::ValidateDistribution(state->probabilities)
-              .WithPrefix(StrFormat(
-                  "producer batch source: point %llu",
-                  static_cast<unsigned long long>(state->index))));
+      // The same distribution and coordinate invariants — via the same
+      // helpers — as DatasetReader::ReadChunk; a producer that broke
+      // them would silently void the verified bracket's rigor.
+      Status valid = uncertain::ValidateDistribution(state->probabilities);
+      if (valid.ok()) {
+        valid = uncertain::ValidateCoordinates(state->coords, dim);
+      }
+      if (!valid.ok()) {
+        return valid.WithPrefix(
+            StrFormat("producer batch source: point %llu",
+                      static_cast<unsigned long long>(state->index)));
+      }
       batch->coords.insert(batch->coords.end(), state->coords.begin(),
                            state->coords.end());
       batch->probabilities.insert(batch->probabilities.end(),

@@ -279,12 +279,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
                        cost::AssignExpectedDistance(*dataset, center_ids,
                                                     options_.threads,
                                                     pool.get()));
-  // The one exact sweep of the solve runs at the full dataset size —
-  // exactly what the segmented engine is for; it shares the
-  // pipeline's pool.
-  cost::ExpectedCostEvaluator::Options evaluator_options;
-  evaluator_options.sweep_pool = pool.get();
-  cost::ExpectedCostEvaluator evaluator(evaluator_options);
+  cost::ExpectedCostEvaluator evaluator;
   UKC_ASSIGN_OR_RETURN(solution.verified_exact,
                        evaluator.AssignedCost(*dataset, assignment));
   return solution;

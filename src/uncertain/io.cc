@@ -280,13 +280,21 @@ Result<size_t> DatasetReader::ReadChunk(size_t max_points,
       }
       batch->probabilities.push_back(probability);
     }
-    // The shared invariant, via the same helper as UncertainPoint::Build
-    // and the producer source — identical rejects, identical messages.
-    UKC_RETURN_IF_ERROR(
-        ValidateDistribution(
-            std::span<const double>(batch->probabilities.data() + point_begin,
-                                    batch->probabilities.size() - point_begin))
-            .WithPrefix(StrFormat("ReadChunk: point %zu", read_)));
+    // The shared invariants, via the same helpers as the producer source
+    // (and UncertainPoint::Build for the distribution) — identical
+    // rejects, identical messages.
+    Status valid = ValidateDistribution(
+        std::span<const double>(batch->probabilities.data() + point_begin,
+                                batch->probabilities.size() - point_begin));
+    if (valid.ok()) {
+      valid = ValidateCoordinates(
+          std::span<const double>(batch->coords.data() + point_begin * dim_,
+                                  batch->coords.size() - point_begin * dim_),
+          dim_);
+    }
+    if (!valid.ok()) {
+      return valid.WithPrefix(StrFormat("ReadChunk: point %zu", read_));
+    }
     batch->offsets.push_back(batch->probabilities.size());
     ++read_;
     ++produced;

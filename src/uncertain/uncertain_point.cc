@@ -32,6 +32,35 @@ Status ValidateDistribution(std::span<const double> probabilities) {
   return Status::OK();
 }
 
+Status ValidateCoordinates(std::span<const double> coords, size_t dim) {
+  if (dim == 0) return Status::InvalidArgument("coordinates need dim >= 1");
+  if (coords.size() % dim != 0) {
+    return Status::InvalidArgument(
+        StrFormat("%zu coordinates do not form whole locations of dim %zu",
+                  coords.size(), dim));
+  }
+  // For x, y in [-B, B]^d every axis difference is at most 2B, so the
+  // squared L2 distance is at most 4·d·B², which is <= DBL_MAX for
+  // B = sqrt(DBL_MAX / (4d)); the L1 (<= 2dB) and LInf (<= 2B) kernels
+  // and every partial sum stay below the same bound. The bound itself
+  // and the kernel each round at most d + 5 times by 2^-53 relative, so
+  // the 1e-6 deflation keeps 4·d·B² strictly below DBL_MAX after
+  // rounding for any d < 2^30: no kernel can return inf.
+  const double bound =
+      std::sqrt(std::numeric_limits<double>::max() /
+                (4.0 * static_cast<double>(dim))) *
+      (1.0 - 1e-6);
+  for (size_t j = 0; j < coords.size(); ++j) {
+    if (!(std::abs(coords[j]) <= bound)) {
+      return Status::InvalidArgument(
+          StrFormat("location %zu coordinate %zu is %g; coordinates must be "
+                    "finite with magnitude at most %.6g (dim %zu)",
+                    j / dim, j % dim, coords[j], bound, dim));
+    }
+  }
+  return Status::OK();
+}
+
 Location UncertainPointView::ModalLocation() const {
   size_t best = 0;
   for (size_t j = 1; j < count_; ++j) {

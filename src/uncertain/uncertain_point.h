@@ -41,6 +41,17 @@ struct Location {
 /// accept or how they report it.
 Status ValidateDistribution(std::span<const double> probabilities);
 
+/// The shared coordinate input domain, enforced by every Euclidean
+/// ingestion entry point (uncertain::DatasetReader — and through it
+/// LoadDataset and the streaming file source —,
+/// stream::MakeProducerBatchSource and serve::TenantRegistry::
+/// SubmitAppend): `coords` holds whole locations of `dim` values each,
+/// and every value is finite with |x| <= sqrt(DBL_MAX / (4·dim)), the
+/// range in which no distance kernel can overflow (derivation at the
+/// definition). Like ValidateDistribution, it produces the core
+/// message once; callers add provenance via Status::WithPrefix.
+Status ValidateCoordinates(std::span<const double> coords, size_t dim);
+
 /// Iterates Location values zipped on the fly from a pair of parallel
 /// (site, probability) arrays. Self-contained: it copies the raw
 /// pointers, so it stays valid after the view that produced it is gone

@@ -116,5 +116,37 @@ TEST(CliRegressionTest, ServeWindowDrivesExpiryAndReportsIt) {
   EXPECT_NE(bad.exit_code, 0);
 }
 
+// A coordinate of 1e200 squares past DBL_MAX: --unassigned used to exit
+// 0 with "expected cost ... inf" and still print the guarantee lines,
+// while --stream refused the same file with a different error. Both
+// must now fail with the one INVALID_ARGUMENT of the shared coordinate
+// domain check.
+TEST(CliRegressionTest, OverflowingCoordinateIsRefusedOnEveryPath) {
+  const std::string path = TempPath("cli_overflow.ukc");
+  {
+    std::ofstream file(path);
+    file << "ukc-dataset 1\ndim 2\nn 3\n"
+         << "point 1\n1 0 0\n"
+         << "point 1\n1 1 1\n"
+         << "point 1\n1 1e200 0\n";
+  }
+  const char kCore[] =
+      "INVALID_ARGUMENT: ReadChunk: point 2: location 0 coordinate 0 is "
+      "1e+200; coordinates must be finite";
+  const auto unassigned = RunCli("--input " + path + " --k 1 --unassigned");
+  EXPECT_NE(unassigned.exit_code, 0) << unassigned.output;
+  EXPECT_NE(unassigned.output.find(kCore), std::string::npos)
+      << unassigned.output;
+  EXPECT_EQ(unassigned.output.find("expected cost"), std::string::npos)
+      << unassigned.output;
+  EXPECT_EQ(unassigned.output.find("Theorem"), std::string::npos)
+      << unassigned.output;
+
+  const auto streamed = RunCli("--input " + path + " --k 1 --stream");
+  EXPECT_NE(streamed.exit_code, 0) << streamed.output;
+  EXPECT_NE(streamed.output.find(kCore), std::string::npos) << streamed.output;
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace ukc

@@ -1,22 +1,20 @@
-// Parity suite for the parallel segmented exact-sweep engine and the
-// compacted snapshot ladder (PR 5). Everything here is EXPECT_EQ on
-// doubles — no tolerance anywhere:
-//  * the segmented sweep (parallel radix sort + per-variable CDF
-//    trajectories + ordered serial combine) must be bitwise identical
-//    to the plain serial sort-sweep reference
-//    (Options::parallel_sweep = false) at every thread count;
+// Parity suite for the swap-table machinery around the one exact
+// sort-sweep. Everything here is EXPECT_EQ on doubles — no tolerance
+// anywhere:
 //  * the compacted ladder (rung 0 + deepest rung resident, the
 //    intermediate rungs re-derived on escalation by replaying
 //    events[deepest.index, rung.index)) must be bitwise identical to
 //    the full 7-rung reference, including on swap matrices whose
 //    candidates force escalations;
+//  * small candidate batches and single-stale-table swap rounds on a
+//    large dataset shard over the per-worker evaluators and must match
+//    a fresh ExpectedCostEvaluator (the oracle) at every thread count;
 //  * double-buffered streaming ingestion must extract the bitwise
 //    identical coreset as the serial read/process alternation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -39,7 +37,7 @@ namespace {
 
 using metric::SiteId;
 
-const int kThreadCounts[] = {1, 2, 8};
+const int kThreadCounts[] = {1, 2, 4};
 
 uncertain::UncertainDataset MakeDataset(size_t n, size_t dim, size_t z,
                                         uint64_t seed,
@@ -93,165 +91,6 @@ std::vector<SiteId> SomeCenters(const uncertain::UncertainDataset& dataset,
   return std::move(solver::Gonzalez(dataset.space(), sites, k)).value().centers;
 }
 
-// The segmented engine vs the serial reference, over random instances
-// across dimensions, (k, z) shapes, and thread counts. Exercises both
-// the sub-radix (std::sort) and radix sort regimes via the instance
-// sizes, and the parallel radix via the pool.
-TEST(ParallelSweepTest, SegmentedSweepMatchesSerialBitwise) {
-  struct Shape {
-    size_t n;
-    size_t k;
-    size_t z;
-  };
-  const Shape shapes[] = {{60, 3, 2}, {150, 8, 4}, {700, 5, 8}};
-  uint64_t seed = 500;
-  for (size_t dim : {1u, 2u, 3u, 8u}) {
-    for (const Shape& shape : shapes) {
-      ++seed;
-      const auto dataset = MakeDataset(shape.n, dim, shape.z, seed);
-      const auto centers = SomeCenters(dataset, shape.k);
-      cost::Assignment assignment(dataset.n(), centers[0]);
-
-      cost::ExpectedCostEvaluator::Options serial_options;
-      serial_options.parallel_sweep = false;
-      cost::ExpectedCostEvaluator serial(serial_options);
-      const double serial_unassigned =
-          *serial.UnassignedCost(dataset, centers);
-      const double serial_assigned =
-          *serial.AssignedCost(dataset, assignment);
-
-      for (int threads : kThreadCounts) {
-        ThreadPool pool(threads);
-        cost::ExpectedCostEvaluator::Options segmented_options;
-        segmented_options.parallel_sweep = true;
-        segmented_options.parallel_sweep_cutover = 1;  // Force the engine.
-        segmented_options.sweep_pool = &pool;
-        cost::ExpectedCostEvaluator segmented(segmented_options);
-        EXPECT_EQ(serial_unassigned, *segmented.UnassignedCost(dataset, centers))
-            << "dim=" << dim << " n=" << shape.n << " threads=" << threads;
-        EXPECT_EQ(serial_assigned, *segmented.AssignedCost(dataset, assignment))
-            << "dim=" << dim << " n=" << shape.n << " threads=" << threads;
-      }
-    }
-  }
-}
-
-// Above the radix cutover the engine's parallel LSD sort takes over;
-// at the default options the large sweep must still match the serial
-// reference bit for bit.
-TEST(ParallelSweepTest, LargeSweepMatchesAtDefaultCutover) {
-  const auto dataset = MakeDataset(9000, 2, 4, 77);  // 36000 events.
-  const auto centers = SomeCenters(dataset, 8);
-  cost::ExpectedCostEvaluator::Options serial_options;
-  serial_options.parallel_sweep = false;
-  cost::ExpectedCostEvaluator serial(serial_options);
-  const double reference = *serial.UnassignedCost(dataset, centers);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    cost::ExpectedCostEvaluator::Options options;  // Defaults: engine on.
-    options.sweep_pool = &pool;
-    cost::ExpectedCostEvaluator segmented(options);
-    ASSERT_GE(dataset.total_locations(), options.parallel_sweep_cutover);
-    EXPECT_EQ(reference, *segmented.UnassignedCost(dataset, centers))
-        << "threads=" << threads;
-  }
-}
-
-// Segment/boundary edge cases: a stream with every key equal (one
-// distinct value, maximal ties), a single event, and a one-point
-// dataset. Ties are where an unstable sort would diverge — the engine
-// must still reproduce the serial reference exactly.
-TEST(ParallelSweepTest, EdgeCaseStreamsMatch) {
-  auto space = std::make_shared<metric::EuclideanSpace>(2);
-  const auto make = [&](size_t n, size_t z, bool identical) {
-    Rng rng(11 + n * 31 + z);
-    std::vector<uncertain::UncertainPoint> points;
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<uncertain::Location> locations;
-      double remaining = 1.0;
-      for (size_t l = 0; l < z; ++l) {
-        const double coords[2] = {
-            identical ? 3.0 : rng.UniformDouble(),
-            identical ? 4.0 : rng.UniformDouble()};
-        const double p = l + 1 == z ? remaining : remaining / 2.0;
-        remaining -= p;
-        locations.push_back({space->AddCoords(coords), p});
-      }
-      points.push_back(std::move(uncertain::UncertainPoint::Build(
-                                     std::move(locations)))
-                           .value());
-    }
-    return std::move(uncertain::UncertainDataset::Build(space,
-                                                        std::move(points)))
-        .value();
-  };
-  struct Case {
-    size_t n;
-    size_t z;
-    bool identical;
-  };
-  const Case cases[] = {
-      {40, 3, true},   // All-equal keys: one distinct value.
-      {1, 1, false},   // Single event.
-      {1, 5, false},   // One variable, several events.
-      {25, 4, false},  // Small mixed stream.
-  };
-  for (const Case& c : cases) {
-    const auto dataset = make(c.n, c.z, c.identical);
-    const double origin[2] = {0.0, 0.0};
-    std::vector<SiteId> centers = {
-        dataset.euclidean()->AddCoords(origin)};
-    cost::ExpectedCostEvaluator::Options serial_options;
-    serial_options.parallel_sweep = false;
-    cost::ExpectedCostEvaluator serial(serial_options);
-    const double reference = *serial.UnassignedCost(dataset, centers);
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      cost::ExpectedCostEvaluator::Options options;
-      options.parallel_sweep_cutover = 1;
-      options.sweep_pool = &pool;
-      cost::ExpectedCostEvaluator segmented(options);
-      EXPECT_EQ(reference, *segmented.UnassignedCost(dataset, centers))
-          << "n=" << c.n << " z=" << c.z << " identical=" << c.identical
-          << " threads=" << threads;
-    }
-  }
-}
-
-// The generic ExpectedMaxOfIndependent entry point (non-CSR fill, its
-// own variable offsets), including heavy cross-variable ties.
-TEST(ParallelSweepTest, ExpectedMaxOfIndependentMatches) {
-  Rng rng(321);
-  std::vector<cost::DiscreteDistribution> distributions;
-  for (size_t i = 0; i < 120; ++i) {
-    cost::DiscreteDistribution d;
-    const size_t support = 1 + static_cast<size_t>(rng.UniformDouble() * 5.0);
-    double remaining = 1.0;
-    for (size_t s = 0; s < support; ++s) {
-      // Quantized values: plenty of exact ties within and across
-      // variables.
-      const double value = std::floor(rng.UniformDouble() * 8.0) / 4.0;
-      const double p = s + 1 == support ? remaining : remaining / 2.0;
-      remaining -= p;
-      d.emplace_back(value, p);
-    }
-    distributions.push_back(std::move(d));
-  }
-  cost::ExpectedCostEvaluator::Options serial_options;
-  serial_options.parallel_sweep = false;
-  cost::ExpectedCostEvaluator serial(serial_options);
-  const double reference = serial.ExpectedMaxOfIndependent(distributions);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    cost::ExpectedCostEvaluator::Options options;
-    options.parallel_sweep_cutover = 1;
-    options.sweep_pool = &pool;
-    cost::ExpectedCostEvaluator segmented(options);
-    EXPECT_EQ(reference, segmented.ExpectedMaxOfIndependent(distributions))
-        << "threads=" << threads;
-  }
-}
-
 cost::ParallelCandidateEvaluator::Options LadderOptions(int threads,
                                                         bool compact) {
   cost::ParallelCandidateEvaluator::Options options;
@@ -264,7 +103,7 @@ cost::ParallelCandidateEvaluator::Options LadderOptions(int threads,
 // bottleneck-covering candidates force escalations: every value must
 // match bit for bit, at every thread count, and the compact run must
 // actually have exercised the replay path.
-TEST(ParallelSweepTest, LadderCompactionEscalationParity) {
+TEST(SwapLadderTest, LadderCompactionEscalationParity) {
   const auto dataset = MakeBottleneckDataset(260, 24, 3, 909);
   const auto centers = SomeCenters(dataset, 3);
   // Candidates: a site inside the far (bottleneck) cluster plus a
@@ -295,7 +134,7 @@ TEST(ParallelSweepTest, LadderCompactionEscalationParity) {
 // through the compacted ladder must track the full-ladder reference
 // bitwise — a single diverging replay would compound into different
 // center sets.
-TEST(ParallelSweepTest, LadderCompactionTrajectoryParity) {
+TEST(SwapLadderTest, LadderCompactionTrajectoryParity) {
   constexpr size_t kRounds = 3;
   const auto dataset = MakeBottleneckDataset(200, 16, 2, 414);
   const auto sites = dataset.LocationSites();
@@ -346,7 +185,7 @@ TEST(ParallelSweepTest, LadderCompactionTrajectoryParity) {
 // The acceptance criterion in numbers: at a clustered instance the
 // compacted ladder's resident bytes drop at least 3x versus the
 // 7-rung reference.
-TEST(ParallelSweepTest, LadderMemoryDropsAtLeast3x) {
+TEST(SwapLadderTest, LadderMemoryDropsAtLeast3x) {
   const auto dataset = MakeDataset(2000, 2, 4, 31);
   const auto centers = SomeCenters(dataset, 8);
   const auto sites = dataset.LocationSites();
@@ -364,9 +203,77 @@ TEST(ParallelSweepTest, LadderMemoryDropsAtLeast3x) {
       << "full=" << full_bytes << " compact=" << compact_bytes;
 }
 
+// Routing above 32768 events: every batch shards over the per-worker
+// evaluators, so one- and two-candidate batches must equal a fresh
+// evaluator bit for bit, and a one-swap round at k = 2 — whose only
+// stale table is the position that does not hold the swapped center —
+// must score identically at every thread count and match a
+// from-scratch build.
+TEST(SwapLadderTest, SmallBatchesAndSingleStaleRoundMatchOracle) {
+  const auto dataset = MakeDataset(9000, 2, 4, 77);  // 36000 locations.
+  ASSERT_GE(dataset.total_locations(), 32768u);
+  const auto sites = dataset.LocationSites();
+  const auto centers = SomeCenters(dataset, 8);
+  std::vector<SiteId> moved = centers;
+  moved[3] = sites[sites.size() / 2];
+  const std::vector<std::vector<SiteId>> center_sets = {centers, moved};
+  const std::vector<cost::Assignment> assignments = {
+      cost::Assignment(dataset.n(), centers[0]),
+      cost::Assignment(dataset.n(), centers[5])};
+  std::vector<double> want_unassigned;
+  std::vector<double> want_assigned;
+  for (size_t s = 0; s < 2; ++s) {
+    cost::ExpectedCostEvaluator oracle;
+    want_unassigned.push_back(*oracle.UnassignedCost(dataset, center_sets[s]));
+    want_assigned.push_back(*oracle.AssignedCost(dataset, assignments[s]));
+  }
+
+  const auto pair = SomeCenters(dataset, 2);
+  std::vector<SiteId> pool;
+  for (size_t i = 0; i < 6; ++i) {
+    const SiteId site = sites[(i * 4099 + 17) % sites.size()];
+    if (std::find(pair.begin(), pair.end(), site) == pair.end()) {
+      pool.push_back(site);
+    }
+  }
+  ASSERT_FALSE(pool.empty());
+  std::vector<SiteId> swapped = pair;
+  swapped[0] = pool[0];
+  cost::ParallelCandidateEvaluator fresh(LadderOptions(1, true));
+  const auto want_round = *fresh.SwapCostMatrix(dataset, swapped, pool);
+
+  for (int threads : kThreadCounts) {
+    cost::ParallelCandidateEvaluator parallel(LadderOptions(threads, true));
+    for (size_t count : {1u, 2u}) {
+      const std::vector<std::vector<SiteId>> sets(center_sets.begin(),
+                                                  center_sets.begin() + count);
+      const std::vector<cost::Assignment> batch(assignments.begin(),
+                                                assignments.begin() + count);
+      const auto unassigned = *parallel.UnassignedCostBatch(dataset, sets);
+      const auto assigned = *parallel.AssignedCostBatch(dataset, batch);
+      ASSERT_EQ(unassigned.size(), count);
+      ASSERT_EQ(assigned.size(), count);
+      for (size_t s = 0; s < count; ++s) {
+        EXPECT_EQ(want_unassigned[s], unassigned[s])
+            << "threads=" << threads << " count=" << count << " set " << s;
+        EXPECT_EQ(want_assigned[s], assigned[s])
+            << "threads=" << threads << " count=" << count << " set " << s;
+      }
+    }
+
+    ASSERT_TRUE(parallel.SwapCostMatrix(dataset, pair, pool).ok());
+    const auto got_round = *parallel.SwapCostMatrix(dataset, swapped, pool);
+    ASSERT_EQ(want_round.size(), got_round.size());
+    for (size_t i = 0; i < want_round.size(); ++i) {
+      EXPECT_EQ(want_round[i], got_round[i])
+          << "task " << i << " threads=" << threads;
+    }
+  }
+}
+
 // ReserveScratch arms the no-shrink contract and survives a batch of
 // evaluations without being lost.
-TEST(ParallelSweepTest, ScratchReservationPersists) {
+TEST(SwapLadderTest, ScratchReservationPersists) {
   const auto dataset = MakeDataset(300, 2, 4, 5);
   const auto centers = SomeCenters(dataset, 4);
   cost::ExpectedCostEvaluator evaluator;
@@ -383,7 +290,7 @@ TEST(ParallelSweepTest, ScratchReservationPersists) {
 // the extracted coreset is bitwise identical to the serial
 // read-then-process reference, for every (threads, chunk, shards)
 // combination tried.
-TEST(ParallelSweepTest, DoubleBufferedIngestMatchesSerial) {
+TEST(SwapLadderTest, DoubleBufferedIngestMatchesSerial) {
   const auto dataset = MakeDataset(1200, 2, 3, 88);
   const auto run = [&](bool double_buffer, int threads, size_t chunk,
                        int shards) {

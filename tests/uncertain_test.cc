@@ -9,6 +9,7 @@
 #include "common/strings.h"
 #include "metric/euclidean_space.h"
 #include "metric/matrix_space.h"
+#include "serve/registry.h"
 #include "stream/ingest.h"
 #include "uncertain/dataset.h"
 #include "uncertain/io.h"
@@ -339,6 +340,141 @@ TEST(DistributionValidationTest, EntryPointsRejectIdentically) {
           << "entry point " << entry << " drifted: got '"
           << statuses[entry].message() << "', core is '" << core.message()
           << "'";
+    }
+  }
+}
+
+// --- Shared coordinate domain -----------------------------------------------
+//
+// Every Euclidean ingestion entry point — the text reader (LoadDataset
+// and the streaming file source both pull through ReadChunk), the
+// producer source, and serve::TenantRegistry::SubmitAppend — routes
+// coordinates through one ValidateCoordinates helper, so a coordinate
+// whose squared distances would overflow (the 1e200 repro) is refused
+// by all of them with the same core message.
+
+// Runs one point (the `dim`-wide locations in `coords`, equal
+// probabilities) through each entry point and returns the statuses of
+// LoadDataset, the producer source and SubmitAppend, in that order. The
+// text format cannot spell NaN or inf (the reader refuses those tokens
+// as malformed), so `via_text` = false skips LoadDataset.
+std::vector<Status> CoordinateStatusesFromAllEntryPoints(
+    const std::vector<double>& coords, size_t dim, bool via_text = true) {
+  const size_t z = coords.size() / dim;
+  const double probability = 1.0 / static_cast<double>(z);
+  std::vector<Status> statuses;
+
+  if (via_text) {
+    std::string text =
+        StrFormat("ukc-dataset 1\ndim %zu\nn 1\npoint %zu\n", dim, z);
+    for (size_t l = 0; l < z; ++l) {
+      text += StrFormat("%.17g", probability);
+      for (size_t a = 0; a < dim; ++a) {
+        text += StrFormat(" %.17g", coords[l * dim + a]);
+      }
+      text += "\n";
+    }
+    std::istringstream stream(text);
+    statuses.push_back(LoadDataset(stream).status());
+  }
+
+  bool emitted = false;
+  auto source = stream::MakeProducerBatchSource(
+      dim,
+      [&](std::vector<double>* out_coords, std::vector<double>* probs) {
+        if (emitted) return false;
+        emitted = true;
+        *out_coords = coords;
+        probs->assign(z, probability);
+        return true;
+      },
+      16);
+  UKC_CHECK(source.ok());
+  UncertainPointBatch batch;
+  statuses.push_back((*source)(&batch).status());
+
+  serve::TenantRegistry registry(serve::RegistryOptions{});
+  serve::TenantConfig config;
+  config.dim = dim;
+  UKC_CHECK(registry.CreateTenant("tenant", config).ok());
+  UncertainPointBatch append;
+  append.dim = dim;
+  append.offsets = {0, z};
+  append.coords = coords;
+  append.probabilities.assign(z, probability);
+  statuses.push_back(registry.SubmitAppend("tenant", append));
+  return statuses;
+}
+
+TEST(CoordinateValidationTest, EntryPointsShareAcceptance) {
+  // 5e153 sits inside the d = 1 domain (sqrt(DBL_MAX / 4) ~ 6.7e153).
+  for (const Status& status :
+       CoordinateStatusesFromAllEntryPoints({5e153, -2.5}, 1)) {
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  for (const Status& status :
+       CoordinateStatusesFromAllEntryPoints({0.0, 1e150, -3.0, 4.0}, 2)) {
+    EXPECT_TRUE(status.ok()) << status;
+  }
+}
+
+TEST(CoordinateValidationTest, EntryPointsRejectIdentically) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::vector<double> coords;
+    size_t dim;
+    bool via_text;
+  };
+  const Case cases[] = {
+      {{0.0, 1e200, 1.0, 1.0}, 2, true},  // The overflow repro.
+      {{-1e200}, 1, true},
+      {{5e153, 0.0, 0.0, 0.0}, 4, true},  // Inside d = 1, outside d = 4.
+      {{0.0, kNaN}, 2, false},
+      {{kInf, 0.0, 0.0, 0.0}, 2, false},
+  };
+  for (const Case& c : cases) {
+    const Status core = ValidateCoordinates(c.coords, c.dim);
+    ASSERT_FALSE(core.ok());
+    ASSERT_EQ(core.code(), StatusCode::kInvalidArgument);
+    const std::vector<Status> statuses =
+        CoordinateStatusesFromAllEntryPoints(c.coords, c.dim, c.via_text);
+    for (size_t entry = 0; entry < statuses.size(); ++entry) {
+      ASSERT_EQ(statuses[entry].code(), StatusCode::kInvalidArgument)
+          << "entry point " << entry << ": " << statuses[entry];
+      EXPECT_TRUE(statuses[entry].message().ends_with(core.message()))
+          << "entry point " << entry << " drifted: got '"
+          << statuses[entry].message() << "', core is '" << core.message()
+          << "'";
+    }
+  }
+}
+
+// The domain's edge is where the kernels stop overflowing: at the
+// largest accepted magnitude, two antipodal corners of the box are at
+// a finite distance under every norm, for small and large d.
+TEST(CoordinateValidationTest, LargestAcceptedMagnitudeKeepsKernelsFinite) {
+  for (size_t dim : {1u, 2u, 3u, 64u}) {
+    double accepted = 1.0;
+    double rejected = 1e300;
+    while (std::nextafter(accepted, rejected) != rejected) {
+      const double mid = accepted + (rejected - accepted) / 2.0;
+      if (ValidateCoordinates(std::vector<double>(dim, mid), dim).ok()) {
+        accepted = mid;
+      } else {
+        rejected = mid;
+      }
+    }
+    const std::vector<double> a(dim, accepted);
+    const std::vector<double> b(dim, -accepted);
+    EXPECT_TRUE(std::isfinite(
+        geometry::SquaredDistanceKernel(a.data(), b.data(), dim)))
+        << "dim=" << dim;
+    for (metric::Norm norm :
+         {metric::Norm::kL1, metric::Norm::kL2, metric::Norm::kLInf}) {
+      EXPECT_TRUE(std::isfinite(
+          metric::NormDistanceKernel(norm, a.data(), b.data(), dim)))
+          << "dim=" << dim;
     }
   }
 }
