@@ -473,7 +473,7 @@ void BM_SlidingWindow(benchmark::State& state) {
       UKC_CHECK(retired.ok()) << retired.status();
     }
   }
-  state.counters["cells"] = static_cast<double>(coreset.ExtractCells().size());
+  state.counters["cells"] = static_cast<double>(coreset.num_cells());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SlidingWindow)->Arg(1024)->Arg(16384);

@@ -297,7 +297,6 @@ int main(int argc, char** argv) {
     }
     ukc::serve::RegistryOptions registry_options;
     registry_options.queue_capacity = static_cast<size_t>(serve_queue_cap);
-    registry_options.threads = static_cast<int>(threads);
     ukc::serve::TenantRegistry registry(registry_options);
 
     std::vector<std::string> ids;

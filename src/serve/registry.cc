@@ -30,7 +30,6 @@ const char* QueryShapeName(int shape) {
 
 TenantRegistry::TenantRegistry(RegistryOptions options)
     : options_(options),
-      pool_(options.pool, options.threads),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Default()) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
@@ -432,7 +431,7 @@ Result<Tenant::CentersAnswer> TenantRegistry::QueryCenters(
   std::optional<obs::ScopedTimer> timer;
   if (sampled) timer.emplace(nullptr);
   Result<Tenant::CentersAnswer> answer =
-      it->second.tenant->QueryCenters(pool_.get(), deadline);
+      it->second.tenant->QueryCenters(deadline);
   CountQuery(&it->second, kCenters, answer.status(), sampled,
              sampled ? timer->ElapsedSeconds() : 0.0);
   return answer;

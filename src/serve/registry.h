@@ -21,8 +21,8 @@
 //     the caller replays acked appends past the restored epoch (the
 //     registry reports it) to make the replica bitwise current.
 //
-// Externally synchronized (one serving thread); queries fan out over
-// the registry's ScopedPool.
+// Externally synchronized (one serving thread); queries run on that
+// thread.
 
 #ifndef UKC_SERVE_REGISTRY_H_
 #define UKC_SERVE_REGISTRY_H_
@@ -30,19 +30,22 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/result.h"
 #include "common/retry.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/serve.h"
 #include "serve/tenant.h"
 #include "uncertain/chunk.h"
 
 namespace ukc {
+
+class ThreadPool;
+
 namespace serve {
 
 /// Registry-wide knobs.
@@ -53,9 +56,10 @@ struct RegistryOptions {
   /// Consecutive append/snapshot failures before the watchdog marks a
   /// tenant degraded. Must be >= 1.
   int degrade_after_failures = 3;
-  /// Workers for query fan-out (<= 0 = hardware threads); ignored when
-  /// `pool` borrows a shared pool (ScopedPool semantics).
-  int threads = 1;
+  /// Ignored: no query fans out (the coreset solve is a serial
+  /// certain-point solve, stream::SolveOnCells). Kept only because the
+  /// end-to-end benchmark's serve workload still sets it; delete it
+  /// with that workload's next change.
   ThreadPool* pool = nullptr;
   /// Observe query latency once every N queries per tenant (a
   /// deterministic counter; the first query is always measured). Every
@@ -141,8 +145,8 @@ class TenantRegistry {
   /// refused append is dropped, not requeued).
   DrainResult Drain();
 
-  /// Query pass-throughs: resolve the tenant, forward the shared pool
-  /// and deadline, and keep the query counters.
+  /// Query pass-throughs: resolve the tenant, forward the deadline,
+  /// and keep the query counters.
   Result<Tenant::CentersAnswer> QueryCenters(const std::string& id,
                                              const Deadline& deadline);
   Result<Tenant::CostAnswer> QueryCandidateCost(
@@ -161,7 +165,6 @@ class TenantRegistry {
   Status RestoreTenant(const std::string& id, uint64_t* restored_epoch);
 
   const ServeStats& stats() const { return stats_; }
-  ThreadPool* pool() const { return pool_.get(); }
 
   /// The registry this instance meters into (the resolved
   /// RegistryOptions::metrics).
@@ -231,7 +234,6 @@ class TenantRegistry {
                   bool sampled, double seconds);
 
   RegistryOptions options_;
-  ScopedPool pool_;
   obs::MetricsRegistry* metrics_ = nullptr;
   Metrics metric_;
   std::map<std::string, Slot> tenants_;  // Ordered: the Drain order.

@@ -11,13 +11,13 @@
 // Design stance: the registry is a SYNCHRONOUS DETERMINISTIC state
 // machine. Appends enqueue into bounded per-tenant FIFO queues and are
 // applied by Drain() in a fixed order (tenants by id, FIFO within a
-// tenant); queries execute immediately against current coreset state,
-// fanning out only through the one shared pool. Thread count therefore
-// affects intra-query parallelism but never the sequence of state
-// transitions — which is what makes replica answers bitwise
-// comparable, and what lets the chaos suite replay any trajectory
-// exactly. External synchronization (one serving thread) is the
-// caller's contract, same as every evaluator in this repo.
+// tenant); queries execute immediately, on the serving thread, against
+// current coreset state. Nothing in the registry depends on a thread
+// count, so the sequence of state transitions is fixed — which is what
+// makes replica answers bitwise comparable, and what lets the chaos
+// suite replay any trajectory exactly. External synchronization (one
+// serving thread) is the caller's contract, same as every evaluator in
+// this repo.
 
 #ifndef UKC_SERVE_SERVE_H_
 #define UKC_SERVE_SERVE_H_

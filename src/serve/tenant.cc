@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/strings.h"
-#include "core/uncertain_kcenter.h"
-#include "cost/assignment.h"
-#include "metric/euclidean_space.h"
 #include "stream/checkpoint.h"
 #include "stream/ingest.h"
-#include "uncertain/dataset.h"
+#include "stream/pipeline.h"
 
 namespace ukc {
 namespace serve {
@@ -219,8 +214,7 @@ Status Tenant::Delete(uint64_t index,
   return Status::OK();
 }
 
-Result<Tenant::CentersAnswer> Tenant::QueryCenters(ThreadPool* pool,
-                                                   const Deadline& deadline) {
+Result<Tenant::CentersAnswer> Tenant::QueryCenters(const Deadline& deadline) {
   UKC_RETURN_IF_ERROR(deadline.Check("QueryCenters"));
   uint64_t source_epoch = 0;
   const stream::StreamingCoreset& source = QuerySource(&source_epoch);
@@ -230,42 +224,23 @@ Result<Tenant::CentersAnswer> Tenant::QueryCenters(ThreadPool* pool,
     return *centers_cache_;
   }
 
-  const std::vector<stream::StreamingCoreset::Cell> cells =
-      source.ExtractCells();
+  source.ExtractRepresentatives(&reps_scratch_);
+  const size_t num_cells = source.num_cells();
   CentersAnswer answer;
   answer.epoch = source_epoch;
   answer.stale = stale;
-  answer.k = std::min(config_.k, cells.size());
-  if (!cells.empty()) {
-    // Solve on the representative instance through the standard
-    // pipeline, exactly as the streaming solver does
-    // (stream/pipeline.cc): cells are certain points, weights do not
-    // enter the max objective.
-    auto space =
-        std::make_shared<metric::EuclideanSpace>(config_.dim, config_.norm);
-    std::vector<uncertain::UncertainPoint> points;
-    points.reserve(cells.size());
-    for (const stream::StreamingCoreset::Cell& cell : cells) {
-      points.push_back(uncertain::UncertainPoint::Certain(
-          space->AddCoords(cell.representative.data())));
-    }
+  if (num_cells > 0) {
+    // Cells are certain points and weights do not enter the max
+    // objective: solve on the flat representatives exactly as the
+    // streaming solver does (stream/pipeline.h SolveOnCells).
     UKC_ASSIGN_OR_RETURN(
-        uncertain::UncertainDataset dataset,
-        uncertain::UncertainDataset::Build(space, std::move(points)));
-    core::UncertainKCenterOptions solve_options;
-    solve_options.k = answer.k;
-    solve_options.rule = cost::AssignmentRule::kExpectedDistance;
-    solve_options.pool = pool;
-    solve_options.deadline = deadline;
-    UKC_ASSIGN_OR_RETURN(core::UncertainKCenterSolution solution,
-                         core::SolveUncertainKCenter(&dataset, solve_options));
-    answer.cost = solution.expected_cost;
-    answer.center_coords.resize(answer.k * config_.dim);
-    for (size_t c = 0; c < answer.k; ++c) {
-      const double* coords = space->coords(solution.centers[c]);
-      std::copy(coords, coords + config_.dim,
-                answer.center_coords.data() + c * config_.dim);
-    }
+        stream::CellSolution solution,
+        stream::SolveOnCells(reps_scratch_.data(), num_cells, config_.dim,
+                             config_.norm, std::min(config_.k, num_cells),
+                             solver::CertainSolverOptions(), deadline));
+    answer.k = solution.k;
+    answer.cost = solution.cost;
+    answer.center_coords = std::move(solution.center_coords);
   }
   const double error = source.error_bound();
   answer.lower = std::max(0.0, answer.cost - error);
@@ -292,26 +267,14 @@ Result<Tenant::CostAnswer> Tenant::QueryCandidateCost(
   answer.stale = state_ == TenantState::kDegraded;
 
   // max over cells of (min over candidates): fixed cell order (the
-  // min_index sort of ExtractCells), fixed candidate order, strict
-  // comparisons — bitwise identical on every replica and thread count.
-  const std::vector<stream::StreamingCoreset::Cell> cells =
-      source.ExtractCells();
-  double cost = 0.0;
-  for (size_t cell = 0; cell < cells.size(); ++cell) {
-    if ((cell & 255u) == 0u) {
-      UKC_RETURN_IF_ERROR(deadline.Check("QueryCandidateCost[scan]"));
-    }
-    const double* rep = cells[cell].representative.data();
-    double nearest = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < num_candidates; ++c) {
-      const double d = metric::NormDistanceKernel(
-          config_.norm, rep, candidates.data() + c * config_.dim,
-          config_.dim);
-      if (d < nearest) nearest = d;
-    }
-    if (nearest > cost) cost = nearest;
-  }
-  answer.cost = cost;
+  // coreset's min_index order), fixed candidate order, strict
+  // comparisons — bitwise identical on every replica.
+  source.ExtractRepresentatives(&reps_scratch_);
+  UKC_ASSIGN_OR_RETURN(
+      answer.cost,
+      stream::MaxNearestDistance(reps_scratch_.data(), source.num_cells(),
+                                 candidates.data(), num_candidates,
+                                 config_.dim, config_.norm, deadline));
   return answer;
 }
 

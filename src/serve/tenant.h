@@ -16,8 +16,8 @@
 //   - epoch: the count of acked appends. Every answer carries the
 //     epoch it was computed at; two replicas at the same epoch that
 //     acked the same append sequence answer BITWISE identically (the
-//     coreset's partition invariance plus the solve pipeline's
-//     thread-invariance, asserted by tests/serve_test.cc).
+//     coreset's partition invariance plus the determinism of the
+//     serial stream::SolveOnCells, asserted by tests/serve_test.cc).
 //
 // Failover: Snapshot() persists {config fingerprint, content
 // fingerprint (running hash of acked appends), cursor, coreset image}
@@ -28,8 +28,7 @@
 // uninterrupted one.
 //
 // Not thread-safe; externally synchronized by the registry (see
-// serve/serve.h design stance). Queries may fan out internally over a
-// borrowed pool.
+// serve/serve.h design stance). Queries run on the calling thread.
 
 #ifndef UKC_SERVE_TENANT_H_
 #define UKC_SERVE_TENANT_H_
@@ -46,9 +45,6 @@
 #include "uncertain/chunk.h"
 
 namespace ukc {
-
-class ThreadPool;
-
 namespace serve {
 
 class Tenant {
@@ -57,7 +53,7 @@ class Tenant {
   struct CentersAnswer {
     uint64_t epoch = 0;   // Acked appends the answer reflects.
     bool stale = false;   // True when served from the stable snapshot.
-    size_t k = 0;         // Centers returned (config k clamped to cells).
+    size_t k = 0;         // Centers returned (<= config k clamped to cells).
     std::vector<double> center_coords;  // k * dim, row-major.
     double cost = 0.0;    // Exact expected cost on the representatives.
     double lower = 0.0;   // Certified bracket on the full-data cost:
@@ -128,13 +124,13 @@ class Tenant {
   /// `serve.delete` fires before any mutation.
   Status Delete(uint64_t index, const uncertain::UncertainPointBatch& point);
 
-  /// Solves k-center on the current cells (live, or stable when
-  /// degraded). The solve shares `pool` and honors `deadline`
-  /// (expiry -> kDeadlineExceeded, state untouched). Successful
-  /// answers are cached per (epoch, staleness) — repeated queries
-  /// between appends cost one lookup.
-  Result<CentersAnswer> QueryCenters(ThreadPool* pool,
-                                     const Deadline& deadline);
+  /// Solves k-center on the current cell representatives (live, or
+  /// stable when degraded) through stream::SolveOnCells with the
+  /// default (Gonzalez) certain solver, honoring `deadline` (expiry ->
+  /// kDeadlineExceeded, state untouched). Successful answers are
+  /// cached per (epoch, staleness) — repeated queries between appends
+  /// cost one lookup.
+  Result<CentersAnswer> QueryCenters(const Deadline& deadline);
 
   /// Exact max-over-cells cost of an explicit candidate set
   /// (`num_candidates` centers, dim doubles each). Deterministic
@@ -215,6 +211,9 @@ class Tenant {
   // every failure path leaves the tenant bitwise unchanged.
   std::vector<double> expected_scratch_;
   std::vector<double> spread_scratch_;
+  // Query scratch: the flat representatives of the query source,
+  // reused so a query allocates no per-cell buffers.
+  std::vector<double> reps_scratch_;
 };
 
 }  // namespace serve

@@ -424,10 +424,25 @@ Status StreamingCoreset::MergeFrom(const StreamingCoreset& other) {
   return Status::OK();
 }
 
+std::vector<StreamingCoreset::OrderedCell> StreamingCoreset::OrderedCells()
+    const {
+  std::vector<OrderedCell> ordered;
+  ordered.reserve(cells_.size());
+  for (const auto& entry : cells_) {
+    ordered.push_back({entry.second.min_index, &entry});
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const OrderedCell& a, const OrderedCell& b) {
+              return a.min_index < b.min_index;
+            });
+  return ordered;
+}
+
 std::vector<StreamingCoreset::Cell> StreamingCoreset::ExtractCells() const {
   std::vector<Cell> cells;
   cells.reserve(cells_.size());
-  for (const auto& [key, state] : cells_) {
+  for (const OrderedCell& ordered : OrderedCells()) {
+    const CellState& state = ordered.entry->second;
     Cell cell;
     cell.min_index = state.min_index;
     cell.count = state.count;
@@ -435,12 +450,16 @@ std::vector<StreamingCoreset::Cell> StreamingCoreset::ExtractCells() const {
     cell.representative = state.representative;
     cells.push_back(std::move(cell));
   }
-  // min_index is unique (one owner point per cell), so this order — and
-  // therefore everything solved on the extracted coreset — is
-  // independent of the hash table's iteration order.
-  std::sort(cells.begin(), cells.end(),
-            [](const Cell& a, const Cell& b) { return a.min_index < b.min_index; });
   return cells;
+}
+
+void StreamingCoreset::ExtractRepresentatives(std::vector<double>* out) const {
+  out->resize(cells_.size() * dim_);
+  double* next = out->data();
+  for (const OrderedCell& ordered : OrderedCells()) {
+    const std::vector<double>& rep = ordered.entry->second.representative;
+    next = std::copy(rep.begin(), rep.end(), next);
+  }
 }
 
 void StreamingCoreset::SerializeTo(std::string* out) const {
@@ -457,14 +476,7 @@ void StreamingCoreset::SerializeTo(std::string* out) const {
   AppendValue(out, static_cast<uint64_t>(cells_.size()));
   // min_index order, same as ExtractCells: the bytes are a pure
   // function of the cell set, never of the table's iteration order.
-  std::vector<const CellMap::value_type*> ordered;
-  ordered.reserve(cells_.size());
-  for (const auto& entry : cells_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const CellMap::value_type* a, const CellMap::value_type* b) {
-              return a->second.min_index < b->second.min_index;
-            });
-  for (const CellMap::value_type* entry : ordered) {
+  for (const auto& [min_index, entry] : OrderedCells()) {
     AppendRaw(out, entry->first.data(), dim_ * sizeof(int64_t));
     AppendValue(out, entry->second.min_index);
     AppendValue(out, entry->second.count);

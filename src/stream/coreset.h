@@ -170,6 +170,14 @@ class StreamingCoreset {
   /// independent order).
   std::vector<Cell> ExtractCells() const;
 
+  /// The representatives alone, in ExtractCells' order, as one flat
+  /// row-major num_cells() × dim() array written to *out (resized;
+  /// its capacity is reused across calls). Bitwise equal to the
+  /// concatenated ExtractCells().representative vectors, without a
+  /// per-cell allocation — the input of SolveOnCells
+  /// (stream/pipeline.h).
+  void ExtractRepresentatives(std::vector<double>* out) const;
+
   /// Appends a self-contained binary image (config, level, cells) to
   /// *out. Cells are written in min_index order, so equal coresets
   /// serialize to equal bytes regardless of hash-table iteration
@@ -231,6 +239,16 @@ class StreamingCoreset {
   void CoarsenToLevel(int level);
   // Doubles the level until the cell target (or the level cap) is met.
   void ReduceToCapacity();
+  // The cell table in min_index order: the one walk ExtractCells,
+  // ExtractRepresentatives and SerializeTo share. min_index is unique
+  // (one owner point per cell), so the order never depends on the
+  // hash table's iteration order. The key sits next to the pointer, so
+  // the sort never chases the table's nodes.
+  struct OrderedCell {
+    uint64_t min_index;
+    const CellMap::value_type* entry;
+  };
+  std::vector<OrderedCell> OrderedCells() const;
 
   bool churn() const { return options_.churn_bucket > 0; }
 

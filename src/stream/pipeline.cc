@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "cost/assignment.h"
 #include "cost/expected_cost_evaluator.h"
 #include "obs/trace.h"
 #include "uncertain/io.h"
@@ -227,6 +227,60 @@ Result<VerifyOutcome> VerifyPass(size_t dim, metric::Norm norm,
 
 }  // namespace
 
+Result<double> MaxNearestDistance(const double* points, size_t n,
+                                  const double* centers, size_t k, size_t dim,
+                                  metric::Norm norm, const Deadline& deadline) {
+  double cost = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if ((i & 255u) == 0u) {
+      UKC_RETURN_IF_ERROR(deadline.Check("MaxNearestDistance"));
+    }
+    const double* point = points + i * dim;
+    double nearest = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < k; ++c) {
+      const double d =
+          metric::NormDistanceKernel(norm, point, centers + c * dim, dim);
+      if (d < nearest) nearest = d;
+    }
+    if (nearest > cost) cost = nearest;
+  }
+  return cost;
+}
+
+Result<CellSolution> SolveOnCells(const double* reps, size_t n, size_t dim,
+                                  metric::Norm norm, size_t k,
+                                  const solver::CertainSolverOptions& options,
+                                  const Deadline& deadline) {
+  UKC_RETURN_IF_ERROR(deadline.Check("SolveOnCells"));
+  if (n == 0 || dim == 0) {
+    return Status::InvalidArgument(
+        "SolveOnCells: need at least one representative of dim >= 1");
+  }
+  if (k == 0) return Status::InvalidArgument("SolveOnCells: k must be >= 1");
+  metric::EuclideanSpace space(dim, norm);
+  std::vector<metric::SiteId> sites(n);
+  for (size_t i = 0; i < n; ++i) sites[i] = space.AddCoords(reps + i * dim);
+
+  UKC_RETURN_IF_ERROR(deadline.Check("SolveOnCells[cluster]"));
+  UKC_ASSIGN_OR_RETURN(solver::KCenterSolution certain,
+                       solver::SolveCertainKCenter(&space, sites, k, options));
+  CellSolution solution;
+  solution.k = certain.centers.size();
+  solution.certain_radius = certain.radius;
+  solution.center_coords.resize(solution.k * dim);
+  for (size_t c = 0; c < solution.k; ++c) {
+    const double* coords = space.coords(certain.centers[c]);
+    for (size_t a = 0; a < dim; ++a) {
+      solution.center_coords[c * dim + a] = coords[a] + 0.0;
+    }
+  }
+  UKC_ASSIGN_OR_RETURN(
+      solution.cost,
+      MaxNearestDistance(reps, n, solution.center_coords.data(), solution.k,
+                         dim, norm, deadline));
+  return solution;
+}
+
 Result<StreamingSolution> StreamingUncertainKCenter::SolveSource(
     size_t dim, const BatchSourceFactory& factory) {
   ScopedPool pool(options_.pool, options_.threads);
@@ -309,8 +363,9 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
       StreamingCoreset coreset,
       IngestCoreset(dim, factory, options_.ingest, pool,
                     &solution.ingest_stats));
-  const std::vector<StreamingCoreset::Cell> cells = coreset.ExtractCells();
-  solution.coreset_cells = cells.size();
+  std::vector<double> reps;
+  coreset.ExtractRepresentatives(&reps);
+  solution.coreset_cells = coreset.num_cells();
   solution.coreset_level = coreset.level();
   solution.coreset_diameter = coreset.diameter();
   solution.coreset_max_spread = coreset.max_spread();
@@ -318,41 +373,21 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.coreset_memory_bytes = coreset.ApproxMemoryBytes();
   solution.timings.ingest_seconds = stopwatch.ElapsedSeconds();
 
-  // Solve on the coreset instance through the existing pipeline. Cell
-  // representatives are certain points; their weights do not enter the
-  // max objective, so the instance is the unweighted representative
-  // set. The run shares this pipeline's worker pool via the options
-  // hook.
+  // Solve on the coreset instance: the cell representatives as certain
+  // points, sharing this pipeline's worker pool with the solvers that
+  // parallelize.
   stopwatch.Reset();
-  solution.k = std::min(options_.k, cells.size());
-  auto coreset_space =
-      std::make_shared<metric::EuclideanSpace>(dim, coreset.norm());
-  std::vector<uncertain::UncertainPoint> coreset_points;
-  coreset_points.reserve(cells.size());
-  for (const StreamingCoreset::Cell& cell : cells) {
-    const metric::SiteId site =
-        coreset_space->AddCoords(cell.representative.data());
-    coreset_points.push_back(uncertain::UncertainPoint::Certain(site));
-  }
+  solver::CertainSolverOptions certain_options = options_.certain;
+  if (certain_options.pool == nullptr) certain_options.pool = pool;
   UKC_ASSIGN_OR_RETURN(
-      uncertain::UncertainDataset coreset_dataset,
-      uncertain::UncertainDataset::Build(coreset_space,
-                                         std::move(coreset_points)));
-  core::UncertainKCenterOptions solve_options;
-  solve_options.k = solution.k;
-  solve_options.rule = cost::AssignmentRule::kExpectedDistance;
-  solve_options.certain = options_.certain;
-  solve_options.pool = pool;
-  UKC_ASSIGN_OR_RETURN(
-      core::UncertainKCenterSolution coreset_solution,
-      core::SolveUncertainKCenter(&coreset_dataset, solve_options));
-  solution.coreset_cost = coreset_solution.expected_cost;
-  solution.coreset_radius = coreset_solution.certain_radius;
-  solution.center_coords.resize(solution.k * dim);
-  for (size_t c = 0; c < solution.k; ++c) {
-    const double* coords = coreset_space->coords(coreset_solution.centers[c]);
-    std::copy(coords, coords + dim, solution.center_coords.data() + c * dim);
-  }
+      CellSolution cell_solution,
+      SolveOnCells(reps.data(), solution.coreset_cells, dim, coreset.norm(),
+                   std::min(options_.k, solution.coreset_cells),
+                   certain_options, Deadline()));
+  solution.k = cell_solution.k;
+  solution.center_coords = std::move(cell_solution.center_coords);
+  solution.coreset_cost = cell_solution.cost;
+  solution.coreset_radius = cell_solution.certain_radius;
   solution.timings.solve_seconds = stopwatch.ElapsedSeconds();
 
   if (!options_.verify) return solution;
@@ -361,22 +396,12 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   // alone: every location of every point sits within
   //   d(rep, nearest center) + diameter + 2 · spread
   // of its ED-assigned center (stream/coreset.h contract plus norm
-  // convexity), so the integrand vanishes above it.
+  // convexity), so the integrand vanishes above it. The largest
+  // d(rep, nearest center) is the coreset cost.
   stopwatch.Reset();
-  double rep_radius = 0.0;
-  for (const StreamingCoreset::Cell& cell : cells) {
-    double nearest = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < solution.k; ++c) {
-      nearest = std::min(
-          nearest, metric::NormDistanceKernel(
-                       coreset.norm(), cell.representative.data(),
-                       solution.center_coords.data() + c * dim, dim));
-    }
-    rep_radius = std::max(rep_radius, nearest);
-  }
-  const double grid_top =
-      (rep_radius + coreset.diameter() + 2.0 * coreset.max_spread()) *
-      (1.0 + 1e-9);
+  const double grid_top = (solution.coreset_cost + coreset.diameter() +
+                           2.0 * coreset.max_spread()) *
+                          (1.0 + 1e-9);
   bool verify_positioned = false;
   UKC_ASSIGN_OR_RETURN(ResumableSource verify_source,
                        factory(nullptr, &verify_positioned));

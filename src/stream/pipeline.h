@@ -3,11 +3,10 @@
 //   1. Ingest  — stream the input (file / dataset / producer) through
 //      the sharded coreset build (stream/ingest.h): O(max_cells)
 //      resident state, one pass.
-//   2. Solve   — materialize the tiny coreset instance (one certain
-//      point per cell representative; cell weights do not enter the
-//      max objective, so the instance is unweighted) and run the
-//      existing core/uncertain_kcenter pipeline on it, sharing this
-//      run's worker pool through the options hook.
+//   2. Solve   — SolveOnCells on the flat cell representatives: they
+//      are certain points, and cell weights do not enter the max
+//      objective, so the instance is the unweighted representative set
+//      and its expected cost is the classical k-center radius.
 //   3. Verify  — one more parallel pass over the full stream: every
 //      point is ED-assigned to its nearest-in-expectation center and
 //      its exact distance CDF is folded into a fixed-point log-product
@@ -41,8 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/result.h"
-#include "core/uncertain_kcenter.h"
+#include "metric/euclidean_space.h"
 #include "solver/certain_solver.h"
 #include "stream/ingest.h"
 
@@ -72,7 +72,9 @@ struct StreamingOptions {
 
 /// Output of one streaming run.
 struct StreamingSolution {
-  /// Effective k (= min(requested k, coreset cells)).
+  /// Centers the certain solver returned: at most min(requested k,
+  /// coreset cells), fewer when the solver stops early
+  /// (Hochbaum–Shmoys can).
   size_t k = 0;
   size_t dim = 0;
   /// The chosen centers, row-major k × dim coordinates. (Site ids are
@@ -90,8 +92,8 @@ struct StreamingSolution {
   double coreset_error_bound = 0.0;
   /// Resident bytes of the coreset cell table (independent of n).
   size_t coreset_memory_bytes = 0;
-  /// Expected cost reported by the pipeline run on the coreset
-  /// instance, and its certain-clustering radius.
+  /// Expected cost of center_coords on the coreset representatives
+  /// (SolveOnCells' cost), and the certain solver's covering radius.
   double coreset_cost = 0.0;
   double coreset_radius = 0.0;
 
@@ -118,6 +120,45 @@ struct StreamingSolution {
     }
   } timings;
 };
+
+/// max over the n points of the distance to the nearest of the k
+/// centers (both row-major, dim doubles each) under `norm`; 0 when
+/// n == 0. A fixed-order scan with strict comparisons, so the result is
+/// bitwise reproducible. The deadline is checked before every 256th
+/// point, starting with the first.
+Result<double> MaxNearestDistance(const double* points, size_t n,
+                                  const double* centers, size_t k, size_t dim,
+                                  metric::Norm norm, const Deadline& deadline);
+
+/// Output of SolveOnCells.
+struct CellSolution {
+  /// Centers the solver returned: at most min(requested k, n), fewer
+  /// when the solver stops early (Hochbaum–Shmoys can).
+  size_t k = 0;
+  /// The centers, row-major k × dim coordinates.
+  std::vector<double> center_coords;
+  /// Expected cost on the representatives: for certain points every
+  /// realization is the same, so it is the classical k-center radius
+  /// MaxNearestDistance(reps, center_coords).
+  double cost = 0.0;
+  /// The certain solver's own covering radius.
+  double certain_radius = 0.0;
+};
+
+/// Solves k-center on n certain points (`reps`, row-major n × dim) —
+/// the coreset instance both the streaming facade and serve's centers
+/// query solve. Runs `options`' certain solver on the points directly:
+/// no surrogate is minted, and only a solver that parallelizes itself
+/// (gonzalez-refined) uses options.pool. Bitwise equal to
+/// core::SolveUncertainKCenter with the ED rule on the same points as
+/// a certain dataset: centers are emitted as x + 0.0, exactly the
+/// expected-point surrogate of a one-location point (0.0 + x · 1.0),
+/// so -0.0 coordinates answer alike. The deadline is checked at entry,
+/// before clustering and through the cost scan (MaxNearestDistance).
+Result<CellSolution> SolveOnCells(const double* reps, size_t n, size_t dim,
+                                  metric::Norm norm, size_t k,
+                                  const solver::CertainSolverOptions& options,
+                                  const Deadline& deadline);
 
 /// The facade. Thread-compatible: one Solve* call at a time.
 class StreamingUncertainKCenter {

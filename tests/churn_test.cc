@@ -594,7 +594,6 @@ TEST(ServeChurnTest, WindowedAppendsAreBatchSplitInvariant) {
 TEST(ServeChurnTest, DeleteReplicasStayBitwiseIdentical) {
   serve::RegistryOptions options;
   options.queue_capacity = 512;
-  options.threads = 1;
   obs::MetricsRegistry metrics_a;
   obs::MetricsRegistry metrics_b;
   options.metrics = &metrics_a;
@@ -645,7 +644,6 @@ TEST(ServeChurnTest, DeleteReplicasStayBitwiseIdentical) {
 // is counted and leaves the tenant bitwise unchanged.
 TEST(ServeChurnTest, DeleteFaultIsAllOrNothing) {
   serve::RegistryOptions options;
-  options.threads = 1;
   options.degrade_after_failures = 100;  // Keep the watchdog out of the way.
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
@@ -719,7 +717,6 @@ TEST(ServeChurnTest, ExpireFaultIsAtomicWithItsAppend) {
 // counted kFailedPrecondition, not a silent drop.
 TEST(ServeChurnTest, DeleteRequiresOptIn) {
   serve::RegistryOptions options;
-  options.threads = 1;
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
   TenantRegistry registry(options);

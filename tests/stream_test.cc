@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "core/unassigned.h"
 #include "core/uncertain_kcenter.h"
 #include "exper/instances.h"
+#include "solver/certain_solver.h"
 #include "stream/checkpoint.h"
 #include "stream/coreset.h"
 #include "stream/ingest.h"
@@ -354,6 +357,82 @@ TEST(StreamingCoresetTest, MemoryBoundedByCellsNotInput) {
   }
 }
 
+// ExtractRepresentatives must be the flattened ExtractCells, bit for
+// bit, whatever history produced the cell table.
+void ExpectRepresentativesMatchCells(const stream::StreamingCoreset& coreset) {
+  std::vector<double> expected;
+  for (const auto& cell : coreset.ExtractCells()) {
+    expected.insert(expected.end(), cell.representative.begin(),
+                    cell.representative.end());
+  }
+  // Stale scratch content must be overwritten, not appended to.
+  std::vector<double> reps(3 * coreset.dim() + 1, 42.0);
+  coreset.ExtractRepresentatives(&reps);
+  ASSERT_EQ(reps.size(), coreset.num_cells() * coreset.dim());
+  ASSERT_EQ(reps.size(), expected.size());
+  for (size_t i = 0; i < reps.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(reps[i]),
+              std::bit_cast<uint64_t>(expected[i]))
+        << "coordinate " << i;
+  }
+}
+
+TEST(StreamingCoresetTest, ExtractRepresentativesMatchesFlattenedCells) {
+  struct Member {
+    uint64_t index;
+    std::vector<double> coords;
+    double spread;
+  };
+  const size_t dim = 2;
+  for (int mode = 0; mode < 3; ++mode) {  // plain, churn, track_members.
+    SCOPED_TRACE(::testing::Message() << "mode=" << mode);
+    stream::CoresetOptions options;
+    options.max_cells = 32;
+    options.base_cell_width = 1e-3;
+    options.churn_bucket = mode > 0 ? 8 : 0;
+    options.track_members = mode == 2;
+
+    // Two shards over disjoint index ranges; coordinates include exact
+    // signed zeros so representatives carry -0.0 bits.
+    Rng rng(97 + mode);
+    std::vector<Member> members;
+    stream::StreamingCoreset first(dim, metric::Norm::kL2, options);
+    stream::StreamingCoreset second(dim, metric::Norm::kL2, options);
+    ExpectRepresentativesMatchCells(first);  // Empty.
+    for (uint64_t index = 0; index < 600; ++index) {
+      Member member{index, {}, rng.UniformDouble(0.0, 0.1)};
+      for (size_t a = 0; a < dim; ++a) {
+        const int64_t pick = rng.UniformInt(0, 9);
+        member.coords.push_back(pick == 0   ? -0.0
+                                : pick == 1 ? 0.0
+                                            : rng.UniformDouble(-5.0, 5.0));
+      }
+      stream::StreamingCoreset& shard = index < 300 ? first : second;
+      ASSERT_TRUE(
+          shard.Add(index, member.coords.data(), member.spread).ok());
+      members.push_back(std::move(member));
+    }
+    ExpectRepresentativesMatchCells(first);
+    ASSERT_TRUE(first.MergeFrom(second).ok());
+    ExpectRepresentativesMatchCells(first);
+    if (mode == 0) continue;
+
+    ASSERT_TRUE(first.ExpireBefore(200).ok());
+    ExpectRepresentativesMatchCells(first);
+    if (mode == 1) continue;
+
+    // Delete the owners of the first few cells: their representatives
+    // re-fold onto other members.
+    for (int round = 0; round < 3; ++round) {
+      const uint64_t owner = first.ExtractCells().front().min_index;
+      const Member& member = members[owner];
+      ASSERT_TRUE(
+          first.Remove(owner, member.coords.data(), member.spread).ok());
+      ExpectRepresentativesMatchCells(first);
+    }
+  }
+}
+
 TEST(StreamingIngestTest, BuildCoresetFromSourceRejectsCheckpointing) {
   // A bare BatchSource cannot be re-opened, so it cannot honor the
   // resume-or-fall-back contract; asking for a checkpoint must be an
@@ -673,6 +752,45 @@ TEST(StreamingPipelineTest, ProducerSourceMatchesDataset) {
   EXPECT_EQ(via_producer->verified_lower, via_dataset->verified_lower);
   EXPECT_EQ(via_producer->verified_upper, via_dataset->verified_upper);
   EXPECT_EQ(via_producer->ingest_stats.points, n);
+}
+
+TEST(StreamingPipelineTest, SolverReturningFewerThanKCentersStaysInBounds) {
+  // Two tight pairs far apart. Hochbaum–Shmoys stops at the smallest
+  // feasible threshold, where two centers already cover all four
+  // representatives, so k = 3 yields only two centers. The facade must
+  // report k = 2 and verify with exactly those centers.
+  auto space = std::make_shared<metric::EuclideanSpace>(1);
+  std::vector<uncertain::UncertainPoint> points;
+  for (double x : {0.0, 1.0, 100.0, 101.0}) {
+    std::vector<uncertain::Location> locations;
+    for (double offset : {0.0, 0.2}) {
+      const double coord = x + offset;
+      locations.push_back(uncertain::Location{space->AddCoords(&coord), 0.5});
+    }
+    points.push_back(
+        std::move(uncertain::UncertainPoint::Build(std::move(locations)))
+            .value());
+  }
+  auto dataset =
+      std::move(uncertain::UncertainDataset::Build(space, std::move(points)))
+          .value();
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    stream::StreamingOptions options;
+    options.k = 3;
+    options.threads = threads;
+    options.certain.kind = solver::CertainSolverKind::kHochbaumShmoys;
+    stream::StreamingUncertainKCenter streaming(options);
+    auto solution = streaming.SolveDataset(&dataset);
+    ASSERT_TRUE(solution.ok()) << solution.status();
+    ASSERT_EQ(solution->coreset_cells, 4u);
+    EXPECT_EQ(solution->k, 2u);
+    EXPECT_EQ(solution->center_coords.size(), solution->k * solution->dim);
+    const double slack = 1e-9 * (1.0 + solution->verified_upper);
+    EXPECT_LE(solution->verified_lower, solution->verified_exact + slack);
+    EXPECT_GE(solution->verified_upper, solution->verified_exact - slack);
+  }
 }
 
 // --- Shared-pool plumbing ---------------------------------------------------
