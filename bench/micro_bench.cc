@@ -599,16 +599,15 @@ stream::BatchSourceFactory SyntheticStreamFactory(size_t n, size_t chunk_size,
 // memory-independence claim — it stays flat as n grows 10x.
 void BM_StreamIngest(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  auto factory = SyntheticStreamFactory(n, 8192);
+  const auto factory =
+      stream::AdaptBatchFactory(SyntheticStreamFactory(n, 8192));
   ThreadPool pool(1);
   stream::IngestOptions options;
   options.chunk_size = 8192;
   options.coreset.max_cells = 4096;
   size_t coreset_bytes = 0;
   for (auto _ : state) {
-    auto source = factory();
-    UKC_CHECK(source.ok()) << source.status();
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(2, factory, options, &pool);
     UKC_CHECK(coreset.ok()) << coreset.status();
     coreset_bytes = coreset->ApproxMemoryBytes();
     benchmark::DoNotOptimize(coreset);
@@ -631,10 +630,9 @@ void BM_CoresetMerge(benchmark::State& state) {
   // Each side is a full stream under a different seed, so the merge
   // sees two genuinely distinct cell tables.
   auto build_side = [&](uint64_t seed) {
-    auto factory = SyntheticStreamFactory(n, 8192, seed);
-    auto source = factory();
-    UKC_CHECK(source.ok()) << source.status();
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(
+        2, stream::AdaptBatchFactory(SyntheticStreamFactory(n, 8192, seed)),
+        options, &pool);
     UKC_CHECK(coreset.ok()) << coreset.status();
     return std::move(*coreset);
   };
@@ -685,9 +683,9 @@ stream::IngestCheckpoint CheckpointOf(size_t n) {
   stream::IngestOptions options;
   options.chunk_size = 8192;
   options.coreset.max_cells = 4096;
-  auto source = SyntheticStreamFactory(n, 8192)();
-  UKC_CHECK(source.ok()) << source.status();
-  auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+  auto coreset = stream::IngestCoreset(
+      2, stream::AdaptBatchFactory(SyntheticStreamFactory(n, 8192)), options,
+      &pool);
   UKC_CHECK(coreset.ok()) << coreset.status();
   stream::IngestCheckpoint checkpoint;
   checkpoint.config_fingerprint = 0x1234;

@@ -54,15 +54,10 @@ uint64_t Tenant::ConfigFingerprint() const {
   hash = HashValue(hash, static_cast<uint64_t>(config_.dim));
   hash = HashValue(hash, static_cast<uint64_t>(config_.norm));
   hash = HashValue(hash, static_cast<uint64_t>(config_.k));
-  hash = HashValue(hash, static_cast<uint64_t>(config_.coreset.max_cells));
-  hash = HashBytes(hash, &config_.coreset.base_cell_width,
-                   sizeof(config_.coreset.base_cell_width));
   // Churn settings change what the coreset retains — a windowed
   // snapshot must never restore into an unbounded tenant (or vice
   // versa), so they gate restore like every other config field.
-  hash = HashValue(hash, config_.coreset.churn_bucket);
-  hash = HashValue(hash,
-                   static_cast<uint64_t>(config_.coreset.track_members));
+  hash = stream::HashCoresetOptions(hash, config_.coreset);
   hash = HashValue(hash, config_.window_points);
   hash = HashValue(hash, static_cast<uint64_t>(config_.allow_deletes));
   return hash;

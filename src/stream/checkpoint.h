@@ -7,10 +7,12 @@
 // of the next record), and two fingerprints that gate the restore:
 //
 //   - config_fingerprint: hash of the ingestion configuration (dim,
-//     chunk size, effective shard count, coreset knobs). A checkpoint
-//     written under one configuration must never resume another — the
-//     group boundaries would differ and the bitwise-determinism
-//     contract of stream/ingest.h would silently break.
+//     chunk size, effective shard count, and the coreset knobs —
+//     including churn_bucket and track_members, via stream/coreset.h
+//     HashCoresetOptions). A checkpoint written under one configuration
+//     must never resume another — the group boundaries or the coreset's
+//     churn state would differ and the bitwise-determinism contract of
+//     stream/ingest.h would silently break.
 //   - content_fingerprint: running hash of every batch consumed so
 //     far. A replay-based resume re-hashes the prefix and compares; a
 //     seek-based resume instead re-hashes the file window preceding

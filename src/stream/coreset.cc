@@ -7,10 +7,19 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace ukc {
 namespace stream {
+
+uint64_t HashCoresetOptions(uint64_t hash, const CoresetOptions& options) {
+  hash = HashValue(hash, options.max_cells);
+  hash = HashBytes(hash, &options.base_cell_width,
+                   sizeof(options.base_cell_width));
+  hash = HashValue(hash, options.churn_bucket);
+  return HashValue(hash, static_cast<uint64_t>(options.track_members));
+}
 
 namespace {
 

@@ -81,6 +81,12 @@ struct CoresetOptions {
   bool track_members = false;
 };
 
+/// Folds `options` into a configuration fingerprint: max_cells, the
+/// bytes of base_cell_width, churn_bucket, then track_members. Shared by
+/// the ingest checkpoint and the serving snapshot gates, so both refuse
+/// a coreset image built under different cell or churn settings.
+uint64_t HashCoresetOptions(uint64_t hash, const CoresetOptions& options);
+
 /// The mergeable streaming summary. See file comment for invariants.
 class StreamingCoreset {
  public:

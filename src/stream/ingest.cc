@@ -105,23 +105,6 @@ Result<BatchSource> MakeDatasetBatchSource(
   });
 }
 
-Result<BatchSource> MakeFileBatchSource(const std::string& path,
-                                        size_t chunk_size) {
-  if (chunk_size == 0) {
-    return Status::InvalidArgument("MakeFileBatchSource: chunk_size >= 1");
-  }
-  UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
-                       uncertain::DatasetReader::Open(path));
-  auto shared = std::make_shared<uncertain::DatasetReader>(std::move(reader));
-  return BatchSource(
-      [shared, chunk_size](uncertain::UncertainPointBatch* batch)
-          -> Result<bool> {
-        UKC_ASSIGN_OR_RETURN(size_t produced,
-                             shared->ReadChunk(chunk_size, batch));
-        return produced > 0;
-      });
-}
-
 Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
                                             size_t chunk_size,
                                             metric::Norm norm) {
@@ -190,46 +173,6 @@ Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
   });
 }
 
-BatchSourceFactory DatasetBatchFactory(const uncertain::UncertainDataset* dataset,
-                                       size_t chunk_size) {
-  return [dataset, chunk_size]() -> Result<BatchSource> {
-    return MakeDatasetBatchSource(dataset, chunk_size);
-  };
-}
-
-BatchSourceFactory FileBatchFactory(const std::string& path, size_t chunk_size) {
-  return [path, chunk_size]() -> Result<BatchSource> {
-    return MakeFileBatchSource(path, chunk_size);
-  };
-}
-
-BatchSourceFactory SeededFileBatchFactory(uncertain::DatasetReader&& probe,
-                                          const std::string& path,
-                                          size_t chunk_size) {
-  auto seeded =
-      std::make_shared<uncertain::DatasetReader>(std::move(probe));
-  auto used = std::make_shared<bool>(false);
-  return [seeded, used, path, chunk_size]() -> Result<BatchSource> {
-    if (chunk_size == 0) {
-      return Status::InvalidArgument("SeededFileBatchFactory: chunk_size >= 1");
-    }
-    if (!*used) {
-      // Pass 1 consumes the probe reader — its header is already
-      // parsed, so the file is opened and header-scanned exactly once
-      // for probe + first pass combined.
-      *used = true;
-      return BatchSource(
-          [seeded, chunk_size](uncertain::UncertainPointBatch* batch)
-              -> Result<bool> {
-            UKC_ASSIGN_OR_RETURN(size_t produced,
-                                 seeded->ReadChunk(chunk_size, batch));
-            return produced > 0;
-          });
-    }
-    return MakeFileBatchSource(path, chunk_size);
-  };
-}
-
 ResumableSourceFactory AdaptBatchFactory(BatchSourceFactory factory) {
   return [factory](const ResumePoint*,
                    bool* positioned) -> Result<ResumableSource> {
@@ -264,36 +207,6 @@ std::optional<uint64_t> HashFileWindow(const std::string& path,
   return HashBytes(kHashSeed, bytes.data(), bytes.size());
 }
 
-// True when the checkpointed cursor still matches the file: the bytes
-// before the offset hash to what the checkpoint recorded.
-bool CursorWindowMatches(const std::string& path, const ResumePoint& resume) {
-  const std::optional<uint64_t> hash =
-      HashFileWindow(path, resume.byte_offset);
-  return hash.has_value() && *hash == resume.window_hash;
-}
-
-// File streams share one reader between the pull and the position
-// probe; both are only ever called from the single reading thread.
-ResumableSource SourceFromSharedReader(
-    std::shared_ptr<uncertain::DatasetReader> reader, std::string path,
-    size_t chunk_size) {
-  ResumableSource source;
-  source.next = [reader, chunk_size](uncertain::UncertainPointBatch* batch)
-      -> Result<bool> {
-    UKC_ASSIGN_OR_RETURN(size_t produced, reader->ReadChunk(chunk_size, batch));
-    return produced > 0;
-  };
-  source.tell = [reader,
-                 path = std::move(path)]() -> std::optional<SourceCursor> {
-    const std::optional<uint64_t> offset = reader->TellByteOffset();
-    if (!offset.has_value()) return std::nullopt;
-    const std::optional<uint64_t> hash = HashFileWindow(path, *offset);
-    if (!hash.has_value()) return std::nullopt;
-    return SourceCursor{*offset, *hash};
-  };
-  return source;
-}
-
 }  // namespace
 
 ResumableSourceFactory ResumableFileFactory(const std::string& path,
@@ -304,54 +217,48 @@ ResumableSourceFactory ResumableFileFactory(const std::string& path,
     if (chunk_size == 0) {
       return Status::InvalidArgument("ResumableFileFactory: chunk_size >= 1");
     }
-    UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
+    UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader opened,
                          uncertain::DatasetReader::Open(path));
-    auto shared = std::make_shared<uncertain::DatasetReader>(std::move(reader));
-    if (resume != nullptr && resume->has_byte_offset) {
-      if (CursorWindowMatches(path, *resume) &&
-          shared->SeekTo(resume->byte_offset, resume->points).ok()) {
+    auto reader = std::make_shared<uncertain::DatasetReader>(std::move(opened));
+    if (resume != nullptr && resume->cursor.has_value()) {
+      // Trust the offset only when the bytes before it still hash to
+      // what the checkpoint recorded.
+      const SourceCursor& cursor = *resume->cursor;
+      if (HashFileWindow(path, cursor.byte_offset) == cursor.window_hash &&
+          reader->SeekTo(cursor.byte_offset, resume->points).ok()) {
         if (positioned != nullptr) *positioned = true;
       } else {
         // Stale or corrupt cursor (the file changed, or the checkpoint
         // came from another file): degrade to a from-the-start stream
         // and let the caller replay-verify instead of failing hard.
-        UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader fresh,
-                             uncertain::DatasetReader::Open(path));
-        *shared = std::move(fresh);
+        UKC_ASSIGN_OR_RETURN(*reader, uncertain::DatasetReader::Open(path));
       }
     }
-    return SourceFromSharedReader(std::move(shared), path, chunk_size);
-  };
-}
-
-ResumableSourceFactory ResumableSeededFileFactory(
-    uncertain::DatasetReader&& probe, const std::string& path,
-    size_t chunk_size) {
-  auto seeded = std::make_shared<uncertain::DatasetReader>(std::move(probe));
-  auto used = std::make_shared<bool>(false);
-  const ResumableSourceFactory reopen = ResumableFileFactory(path, chunk_size);
-  return [seeded, used, reopen, path, chunk_size](
-             const ResumePoint* resume,
-             bool* positioned) -> Result<ResumableSource> {
-    if (*used || chunk_size == 0) return reopen(resume, positioned);
-    *used = true;
-    if (positioned != nullptr) *positioned = false;
-    if (resume != nullptr && resume->has_byte_offset) {
-      if (CursorWindowMatches(path, *resume) &&
-          seeded->SeekTo(resume->byte_offset, resume->points).ok()) {
-        if (positioned != nullptr) *positioned = true;
-        return SourceFromSharedReader(seeded, path, chunk_size);
-      }
-      // The probe is now mispositioned; reopen from the start.
-      return reopen(nullptr, positioned);
-    }
-    return SourceFromSharedReader(seeded, path, chunk_size);
+    // The pull and the position probe share the reader; both are only
+    // ever called from the single reading thread.
+    ResumableSource source;
+    source.next = [reader, chunk_size](uncertain::UncertainPointBatch* batch)
+        -> Result<bool> {
+      UKC_ASSIGN_OR_RETURN(size_t produced,
+                           reader->ReadChunk(chunk_size, batch));
+      return produced > 0;
+    };
+    source.tell = [reader, path]() -> std::optional<SourceCursor> {
+      const std::optional<uint64_t> offset = reader->TellByteOffset();
+      if (!offset.has_value()) return std::nullopt;
+      const std::optional<uint64_t> hash = HashFileWindow(path, *offset);
+      if (!hash.has_value()) return std::nullopt;
+      return SourceCursor{*offset, *hash};
+    };
+    return source;
   };
 }
 
 ResumableSourceFactory ResumableDatasetFactory(
     const uncertain::UncertainDataset* dataset, size_t chunk_size) {
-  return AdaptBatchFactory(DatasetBatchFactory(dataset, chunk_size));
+  return AdaptBatchFactory([dataset, chunk_size]() -> Result<BatchSource> {
+    return MakeDatasetBatchSource(dataset, chunk_size);
+  });
 }
 
 namespace {
@@ -373,24 +280,20 @@ uint64_t HashBatch(uint64_t hash, const uncertain::UncertainPointBatch& batch) {
   return hash;
 }
 
-// Hash of everything that determines group boundaries and cell
-// geometry. A checkpoint taken under one configuration must never
-// resume another: a different shard count regroups the batches and a
-// different cell width regrids them — either would void the bitwise
-// parity with an uninterrupted run.
+// Hash of everything that determines group boundaries and what the
+// coreset keeps. A checkpoint taken under one configuration must never
+// resume another: a different shard count regroups the batches, a
+// different cell width regrids them, and different churn settings
+// restore an image without the churn state the run asked for — each
+// would void the bitwise parity with an uninterrupted run.
 uint64_t ConfigFingerprint(size_t dim, const IngestOptions& options,
                            size_t shards) {
   uint64_t hash = kHashSeed;
-  hash = HashValue(hash, 1);  // Fingerprint layout version.
+  hash = HashValue(hash, 2);  // Fingerprint layout version.
   hash = HashValue(hash, dim);
   hash = HashValue(hash, options.chunk_size);
   hash = HashValue(hash, shards);
-  hash = HashValue(hash, options.coreset.max_cells);
-  uint64_t width_bits = 0;
-  std::memcpy(&width_bits, &options.coreset.base_cell_width,
-              sizeof(width_bits));
-  hash = HashValue(hash, width_bits);
-  return hash;
+  return HashCoresetOptions(hash, options.coreset);
 }
 
 // Per-run ingest telemetry handles, resolved once per entry point so
@@ -473,9 +376,8 @@ struct ResumeState {
   uint64_t config_fingerprint = 0;
 };
 
-// The sharded group loop shared by BuildCoresetFromSource and
-// IngestCoreset. `counters` arrives pre-loaded with the restored
-// prefix's totals when resuming.
+// The sharded group loop of IngestCoreset. `counters` arrives
+// pre-loaded with the restored prefix's totals when resuming.
 Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
                                    const IngestOptions& options, size_t shards,
                                    ThreadPool* pool, IngestStats& counters,
@@ -499,11 +401,10 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
 
   // One batch group: up to `shards` batches pulled serially off the
   // source, plus the read outcome and the stream position after the
-  // group (captured here, by the reading thread, because with double
-  // buffering the next group has already been prefetched by the time
-  // this one is processed — a checkpoint-time tell() would be one
-  // group ahead). With double buffering two of these ping-pong between
-  // the reader thread and the processing loop.
+  // group (captured here, by the reading thread, because the next group
+  // has already been prefetched by the time this one is processed — a
+  // checkpoint-time tell() would be one group ahead). Two of these
+  // ping-pong between the reader thread and the processing loop.
   struct Group {
     std::vector<uncertain::UncertainPointBatch> batches;
     size_t loaded = 0;
@@ -554,7 +455,7 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
         norm_latched = true;
       } else if (group.batches[g].norm != stream_norm) {
         return Status::InvalidArgument(
-            "BuildCoresetFromSource: batch norm changed mid-stream");
+            "ingest: batch norm changed mid-stream");
       }
       // The content fingerprint is maintained only when a checkpoint
       // could be written — the hashing cost must not tax
@@ -644,25 +545,12 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     }
   };
 
-  if (!options.double_buffer) {
-    // Reference path: read a group, process it, repeat.
-    Group group;
-    group.batches.resize(shards);
-    bool done = false;
-    while (!done) {
-      fill_group(&group);
-      UKC_RETURN_IF_ERROR(group.status);
-      done = group.done;
-      UKC_RETURN_IF_ERROR(process_group(group));
-      if (group.loaded == 0) break;
-      maybe_checkpoint(group);
-    }
-  } else {
-    // Double-buffered path: a dedicated reader thread fills group r+1
-    // while the pool processes group r. The source is only ever
-    // touched by the reader (reads stay strictly serial), and groups
-    // are handed over whole, so the shard assignment above is
-    // untouched.
+  // A dedicated reader thread fills group r+1 while the pool processes
+  // group r. The source is only ever touched by the reader (reads stay
+  // strictly serial), and groups are handed over whole, so the shard
+  // assignment above is untouched. The reader is joined at the end of
+  // this block, before the merge.
+  {
     Group groups[2];
     groups[0].batches.resize(shards);
     groups[1].batches.resize(shards);
@@ -731,7 +619,7 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     // A resume that landed exactly at the end of the stream: the
     // checkpoint already holds the whole coreset.
     if (resume.restored.has_value()) return std::move(*resume.restored);
-    return Status::InvalidArgument("BuildCoresetFromSource: empty stream");
+    return Status::InvalidArgument("ingest: empty stream");
   }
 
   // Ordered binary merge tree: at stride s, shard i absorbs shard i+s
@@ -755,9 +643,15 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
   return std::move(shard_sets[0]);
 }
 
-// Shared argument validation of the two public entry points.
-Status ValidateIngestArguments(size_t dim, const IngestOptions& options,
-                               ThreadPool* pool) {
+}  // namespace
+
+Result<StreamingCoreset> IngestCoreset(size_t dim,
+                                       const ResumableSourceFactory& factory,
+                                       const IngestOptions& options,
+                                       ThreadPool* pool, IngestStats* stats) {
+  if (factory == nullptr) {
+    return Status::InvalidArgument("IngestCoreset: null factory");
+  }
   if (pool == nullptr) {
     return Status::InvalidArgument("ingest: null pool");
   }
@@ -769,49 +663,9 @@ Status ValidateIngestArguments(size_t dim, const IngestOptions& options,
   if (options.retry.max_attempts < 1) {
     return Status::InvalidArgument("ingest: retry.max_attempts must be >= 1");
   }
-  return Status::OK();
-}
-
-size_t EffectiveShards(const IngestOptions& options, ThreadPool* pool) {
-  return options.shards <= 0 ? static_cast<size_t>(pool->num_threads())
-                             : static_cast<size_t>(options.shards);
-}
-
-}  // namespace
-
-Result<StreamingCoreset> BuildCoresetFromSource(size_t dim,
-                                                const BatchSource& source,
-                                                const IngestOptions& options,
-                                                ThreadPool* pool,
-                                                IngestStats* stats) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("BuildCoresetFromSource: null source");
-  }
-  UKC_RETURN_IF_ERROR(ValidateIngestArguments(dim, options, pool));
-  if (!options.checkpoint.path.empty()) {
-    return Status::InvalidArgument(
-        "BuildCoresetFromSource: checkpointing requires a re-startable "
-        "stream — use IngestCoreset with a ResumableSourceFactory");
-  }
-  const size_t shards = EffectiveShards(options, pool);
-  IngestStats counters;
-  ResumableSource resumable;
-  resumable.next = source;
-  Result<StreamingCoreset> result = RunIngest(dim, resumable, options, shards,
-                                              pool, counters, ResumeState{});
-  if (stats != nullptr) *stats = counters;
-  return result;
-}
-
-Result<StreamingCoreset> IngestCoreset(size_t dim,
-                                       const ResumableSourceFactory& factory,
-                                       const IngestOptions& options,
-                                       ThreadPool* pool, IngestStats* stats) {
-  if (factory == nullptr) {
-    return Status::InvalidArgument("IngestCoreset: null factory");
-  }
-  UKC_RETURN_IF_ERROR(ValidateIngestArguments(dim, options, pool));
-  const size_t shards = EffectiveShards(options, pool);
+  const size_t shards = options.shards <= 0
+                            ? static_cast<size_t>(pool->num_threads())
+                            : static_cast<size_t>(options.shards);
   const bool checkpointing = !options.checkpoint.path.empty();
 
   IngestStats counters;
@@ -843,9 +697,10 @@ Result<StreamingCoreset> IngestCoreset(size_t dim,
         ResumePoint point;
         point.batches = loaded->batches;
         point.points = loaded->points;
-        point.has_byte_offset = loaded->has_byte_offset;
-        point.byte_offset = loaded->byte_offset;
-        point.window_hash = loaded->cursor_window_hash;
+        if (loaded->has_byte_offset) {
+          point.cursor =
+              SourceCursor{loaded->byte_offset, loaded->cursor_window_hash};
+        }
         bool positioned = false;
         UKC_ASSIGN_OR_RETURN(ResumableSource opened,
                              factory(&point, &positioned));

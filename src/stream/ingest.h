@@ -1,20 +1,23 @@
 // Chunked ingestion: turns a stream of uncertain points — an in-memory
 // dataset, a dataset file (uncertain/io.h DatasetReader), or any
 // caller-supplied producer — into a StreamingCoreset without ever
-// holding more than shards · chunk_size points in memory.
+// holding more than 2 · shards · chunk_size points in memory. Every
+// stream enters through one re-startable ResumableSourceFactory and
+// one entry point, IngestCoreset.
 //
-// Sharding discipline: batches are read serially (I/O is the one
-// serial resource), collected into groups of at most `shards` batches,
-// and each group is processed by one ThreadPool::ParallelFor — batch g
-// of group r feeds shard (r·shards + g) mod shards, so no two workers
-// ever touch one shard and each shard sees its subsequence of batches
-// in stream order. The shard coresets are then reduced by an ordered
-// binary merge tree (stride 1, 2, 4, ... — disjoint pairs merge in
-// parallel). None of this is needed for determinism — the grid coreset
-// is bitwise partition-invariant by construction (stream/coreset.h) —
-// but it keeps the layer on the same determinism discipline as
-// ParallelCandidateEvaluator, so the invariance never rests on a
-// single component's guarantee.
+// Sharding discipline: batches are read serially by one dedicated
+// reader thread (I/O is the one serial resource), collected into
+// groups of at most `shards` batches, and each group is processed by
+// one ThreadPool::ParallelFor while the reader prefetches the next —
+// batch g of group r feeds shard (r·shards + g) mod shards, so no two
+// workers ever touch one shard and each shard sees its subsequence of
+// batches in stream order. The shard coresets are then reduced by an
+// ordered binary merge tree (stride 1, 2, 4, ... — disjoint pairs
+// merge in parallel). None of this is needed for determinism — the
+// grid coreset is bitwise partition-invariant by construction
+// (stream/coreset.h) — but it keeps the layer on the same determinism
+// discipline as ParallelCandidateEvaluator, so the invariance never
+// rests on a single component's guarantee.
 
 #ifndef UKC_STREAM_INGEST_H_
 #define UKC_STREAM_INGEST_H_
@@ -31,7 +34,6 @@
 #include "stream/coreset.h"
 #include "uncertain/chunk.h"
 #include "uncertain/dataset.h"
-#include "uncertain/io.h"
 
 namespace ukc {
 namespace stream {
@@ -54,11 +56,6 @@ using BatchSourceFactory = std::function<Result<BatchSource>()>;
 Result<BatchSource> MakeDatasetBatchSource(
     const uncertain::UncertainDataset* dataset, size_t chunk_size);
 
-/// Streams a dataset file via uncertain::DatasetReader; one chunk of
-/// the file is resident at a time.
-Result<BatchSource> MakeFileBatchSource(const std::string& path,
-                                        size_t chunk_size);
-
 /// Adapts a per-point callback producer: `next` appends one point's
 /// locations (dim doubles per location into *coords, one probability
 /// each into *probabilities; both pre-cleared) and returns true, or
@@ -71,21 +68,6 @@ using PointProducer = std::function<bool(std::vector<double>* coords,
 Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
                                             size_t chunk_size,
                                             metric::Norm norm = metric::Norm::kL2);
-
-/// Factory conveniences for the two re-startable stream kinds.
-BatchSourceFactory DatasetBatchFactory(const uncertain::UncertainDataset* dataset,
-                                       size_t chunk_size);
-BatchSourceFactory FileBatchFactory(const std::string& path, size_t chunk_size);
-
-/// FileBatchFactory that hands an already-open reader to its FIRST
-/// source: callers that probe the header up front (SolveFile reads the
-/// dimension before building its pipeline) seed pass 1 with the probe
-/// reader instead of reopening and re-parsing the header; passes after
-/// the first reopen `path` as usual. The probe must be freshly opened
-/// (no chunks consumed).
-BatchSourceFactory SeededFileBatchFactory(uncertain::DatasetReader&& probe,
-                                          const std::string& path,
-                                          size_t chunk_size);
 
 /// Bytes hashed into SourceCursor::window_hash: the window of the file
 /// immediately preceding the cursor's byte offset (shorter when the
@@ -112,12 +94,9 @@ struct SourceCursor {
 struct ResumePoint {
   uint64_t batches = 0;
   uint64_t points = 0;
-  /// Byte offset of the next unread record — and the hash of the
-  /// window before it — when the checkpointed source could report one
-  /// (uncertain/io.h TellByteOffset).
-  bool has_byte_offset = false;
-  uint64_t byte_offset = 0;
-  uint64_t window_hash = 0;
+  /// Position of the next unread record when the checkpointed source
+  /// could report one (uncertain/io.h TellByteOffset).
+  std::optional<SourceCursor> cursor;
 };
 
 /// A BatchSource plus an optional position probe. `tell`, when
@@ -149,20 +128,13 @@ using ResumableSourceFactory = std::function<Result<ResumableSource>(
 /// guards against resuming against different data.)
 ResumableSourceFactory AdaptBatchFactory(BatchSourceFactory factory);
 
-/// Resumable factory over a dataset file. Resume positions the reader
-/// with DatasetReader::SeekTo (one seek instead of re-parsing the
-/// prefix); a cursor that fails structural validation degrades to the
-/// replay path instead of erroring.
+/// Resumable factory over a dataset file; every call opens `path`
+/// afresh (one chunk of the file is resident at a time). Resume
+/// positions the reader with DatasetReader::SeekTo (one seek instead
+/// of re-parsing the prefix); a cursor that fails structural validation
+/// degrades to the replay path instead of erroring.
 ResumableSourceFactory ResumableFileFactory(const std::string& path,
                                             size_t chunk_size);
-
-/// ResumableFileFactory variant seeded with a freshly-opened probe
-/// reader (see SeededFileBatchFactory): the first stream consumes the
-/// probe — seeking it when that first call is a resume — and later
-/// calls reopen `path`.
-ResumableSourceFactory ResumableSeededFileFactory(
-    uncertain::DatasetReader&& probe, const std::string& path,
-    size_t chunk_size);
 
 /// Resumable factory over an in-memory dataset (replay path; see
 /// AdaptBatchFactory).
@@ -171,31 +143,20 @@ ResumableSourceFactory ResumableDatasetFactory(
 
 /// Configuration of the sharded coreset build.
 struct IngestOptions {
-  /// Points per batch. Consumed by the Make*BatchSource factories (and
-  /// the pipeline, which builds sources from it); BuildCoresetFromSource
-  /// itself takes whatever batch size its source emits.
+  /// Points per batch. Consumed by the pipeline, which builds its
+  /// sources from it, and hashed into the checkpoint fingerprint;
+  /// IngestCoreset itself takes whatever batch size its source emits.
   size_t chunk_size = 4096;
   /// Shard coresets built concurrently; <= 0 = the pool's thread count.
   int shards = 0;
-  /// Double-buffer ingestion: a dedicated reader thread pulls batch
-  /// group r+1 off the source while the pool processes group r, so
-  /// I/O and compute overlap on parse-heavy file streams. The source
-  /// is still read strictly serially (only ever by the reader), groups
-  /// are formed identically, and batch g of a group still feeds shard
-  /// g — the batch→shard→ordered-merge determinism rule is untouched,
-  /// so the coreset is bitwise identical either way. false = the
-  /// serial read-then-process alternation (the reference path).
-  bool double_buffer = true;
   CoresetOptions coreset;
   /// Bounded retry of transient batch-source failures (kUnavailable
   /// only; see common/retry.h). Sources must not consume input on a
   /// failed pull for the retry to be sound — every source in this
   /// repo satisfies that.
   RetryOptions retry;
-  /// Crash-consistent checkpointing (stream/checkpoint.h). Only the
-  /// factory-based IngestCoreset honors it — resuming and falling back
-  /// require re-opening the stream, which a bare BatchSource cannot do
-  /// — so BuildCoresetFromSource rejects a non-empty path.
+  /// Crash-consistent checkpointing (stream/checkpoint.h); resuming
+  /// and falling back re-open the stream through the factory.
   CheckpointOptions checkpoint;
   /// Registry the ingest telemetry meters into (null = the process-wide
   /// obs::MetricsRegistry::Default()): stage timers
@@ -232,18 +193,10 @@ struct IngestStats {
   uint64_t replayed_batches = 0;
 };
 
-/// Drains `source` through shard coresets on `pool` and reduces them
-/// into the returned coreset. The result is bitwise identical for
-/// every (pool size, shards, chunk_size) configuration.
-Result<StreamingCoreset> BuildCoresetFromSource(size_t dim,
-                                                const BatchSource& source,
-                                                const IngestOptions& options,
-                                                ThreadPool* pool,
-                                                IngestStats* stats = nullptr);
-
-/// The checkpoint-aware ingestion entry point: BuildCoresetFromSource
-/// semantics (same sharding, same bitwise-deterministic result) over a
-/// re-startable stream. With options.checkpoint.path set, the run
+/// The ingestion entry point: drains one stream opened by `factory`
+/// through shard coresets on `pool` and reduces them into the returned
+/// coreset, bitwise identical for every (pool size, shards, chunk_size)
+/// configuration. With options.checkpoint.path set, the run
 /// first tries to restore — validating checksum, configuration
 /// fingerprint and stream position, and degrading to a full re-ingest
 /// on ANY mismatch — then saves a checkpoint every every_n_batches

@@ -290,16 +290,12 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveSource(
 Result<StreamingSolution> StreamingUncertainKCenter::SolveFile(
     const std::string& path) {
   // Open once up front for the header (dimension + early validation);
-  // the probe reader then seeds pass 1 of the pipeline, so the header
-  // is parsed once for probe + ingest combined and only the
-  // verification pass reopens the file.
-  UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
+  // each pass then opens the file afresh.
+  UKC_ASSIGN_OR_RETURN(const uncertain::DatasetReader probe,
                        uncertain::DatasetReader::Open(path));
-  const size_t dim = reader.dim();
   ScopedPool pool(options_.pool, options_.threads);
-  return Solve(dim,
-               ResumableSeededFileFactory(std::move(reader), path,
-                                          options_.ingest.chunk_size),
+  return Solve(probe.dim(),
+               ResumableFileFactory(path, options_.ingest.chunk_size),
                pool.get());
 }
 

@@ -749,6 +749,16 @@ TEST(ServeChurnTest, WindowConfigIsFingerprinted) {
   EXPECT_EQ(windowed.config().coreset.churn_bucket, 64u / 16u);
 }
 
+// The fingerprint gates snapshot restore, so its value is part of the
+// snapshot format: these are the values snapshots already on disk were
+// written with, and they must keep restoring.
+TEST(ServeChurnTest, ConfigFingerprintValuesArePinned) {
+  EXPECT_EQ(Tenant("t", WindowedConfig(0, false)).ConfigFingerprint(),
+            0x883e8ea2d36b6252ULL);
+  EXPECT_EQ(Tenant("t", WindowedConfig(64, true)).ConfigFingerprint(),
+            0x0ff938c43071874eULL);
+}
+
 // --- Checkpoint versioning --------------------------------------------------
 
 // Serializes a sidecar in the RETIRED v1 layout (no window fields) with

@@ -310,6 +310,28 @@ TEST_F(CrashRecoveryTest, ConfigMismatchRejectsTheSidecar) {
   EXPECT_TRUE(recovery.stats.checkpoint_rejected);
   EXPECT_FALSE(recovery.stats.restored);
   ExpectCellsBitwiseEqual(recovery.cells, *baseline_);
+
+  // Same shard count, but churn settings the checkpointed image does
+  // not carry: restoring it would seed the run with a non-churn prefix
+  // the churn shards cannot be trusted to merge with, so the sidecar
+  // must be rejected and the stream re-ingested under the new settings.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    CrashAndRecover(factory, *baseline_, 2, shards, 1, kTotalBatches / 2,
+                    checkpoint_path, /*seek_path=*/true);
+    ASSERT_TRUE(stream::LoadCheckpoint(checkpoint_path).ok());
+    stream::IngestOptions churn = IngestConfig(shards, 1, checkpoint_path);
+    churn.coreset.churn_bucket = 16;
+    churn.coreset.track_members = true;
+    const IngestOutcome rejected = RunOnce(factory, 2, 2, churn);
+    ASSERT_TRUE(rejected.ok) << rejected.status;
+    EXPECT_TRUE(rejected.stats.checkpoint_rejected);
+    EXPECT_FALSE(rejected.stats.restored);
+    churn.checkpoint.path.clear();
+    const IngestOutcome fresh = RunOnce(factory, 2, 2, churn);
+    ASSERT_TRUE(fresh.ok) << fresh.status;
+    ExpectCellsBitwiseEqual(rejected.cells, fresh.cells);
+  }
 }
 
 TEST_F(CrashRecoveryTest, StaleCursorAgainstChangedFileIsRejected) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -267,11 +268,10 @@ TEST(StreamingCoresetTest, CapacityAndExtractionInvariants) {
   options.chunk_size = 128;
   options.coreset.max_cells = 64;
   ThreadPool pool(1);
-  auto source = stream::MakeDatasetBatchSource(&dataset, options.chunk_size);
-  ASSERT_TRUE(source.ok());
   stream::IngestStats stats;
-  auto coreset =
-      stream::BuildCoresetFromSource(2, *source, options, &pool, &stats);
+  auto coreset = stream::IngestCoreset(
+      2, stream::ResumableDatasetFactory(&dataset, options.chunk_size),
+      options, &pool, &stats);
   ASSERT_TRUE(coreset.ok()) << coreset.status();
 
   EXPECT_LE(coreset->num_cells(), options.coreset.max_cells);
@@ -292,38 +292,58 @@ TEST(StreamingCoresetTest, CapacityAndExtractionInvariants) {
   EXPECT_EQ(members, dataset.n());
 }
 
+// The ingest oracle: every point folded in stream order into one
+// coreset through SummarizeBatchPoint + StreamingCoreset::Add — no
+// shards, no groups, no reader thread.
+stream::StreamingCoreset SerialFold(const uncertain::UncertainDataset& dataset,
+                                    const stream::CoresetOptions& options) {
+  stream::StreamingCoreset coreset(2, metric::Norm::kL2, options);
+  auto source = stream::MakeDatasetBatchSource(&dataset, 64);
+  EXPECT_TRUE(source.ok()) << source.status();
+  uncertain::UncertainPointBatch batch;
+  std::vector<double> expected(2);
+  while (true) {
+    auto more = (*source)(&batch);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    for (size_t i = 0; i < batch.n(); ++i) {
+      const double spread =
+          stream::SummarizeBatchPoint(batch, i, expected.data());
+      EXPECT_TRUE(
+          coreset.Add(batch.start_index + i, expected.data(), spread).ok());
+    }
+  }
+  return coreset;
+}
+
 TEST(StreamingCoresetTest, BitwisePartitionInvariance) {
   auto dataset = MakeDataset(500, 11);
   stream::CoresetOptions coreset_options;
   coreset_options.max_cells = 128;
-
-  // Baseline: one shard, one thread, one chunk size.
-  auto build = [&](int threads, size_t chunk_size, int shards) {
-    ThreadPool pool(threads);
-    stream::IngestOptions options;
-    options.chunk_size = chunk_size;
-    options.shards = shards;
-    options.coreset = coreset_options;
-    auto source = stream::MakeDatasetBatchSource(&dataset, chunk_size);
-    EXPECT_TRUE(source.ok());
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
-    EXPECT_TRUE(coreset.ok()) << coreset.status();
-    return std::move(*coreset);
-  };
-  const stream::StreamingCoreset baseline = build(1, 500, 1);
+  const stream::StreamingCoreset baseline = SerialFold(dataset, coreset_options);
   const auto baseline_cells = baseline.ExtractCells();
   ASSERT_GT(baseline_cells.size(), 1u);
 
   for (int threads : kThreadCounts) {
     for (size_t chunk_size : kChunkSizes) {
       for (int shards : kShardCounts) {
-        const stream::StreamingCoreset coreset =
-            build(threads, chunk_size, shards);
         SCOPED_TRACE(::testing::Message() << "threads=" << threads
                                           << " chunk=" << chunk_size
                                           << " shards=" << shards);
-        EXPECT_EQ(coreset.level(), baseline.level());
-        const auto cells = coreset.ExtractCells();
+        ThreadPool pool(threads);
+        stream::IngestOptions options;
+        options.chunk_size = chunk_size;
+        options.shards = shards;
+        options.coreset = coreset_options;
+        stream::IngestStats stats;
+        auto coreset = stream::IngestCoreset(
+            2, stream::ResumableDatasetFactory(&dataset, chunk_size), options,
+            &pool, &stats);
+        ASSERT_TRUE(coreset.ok()) << coreset.status();
+        EXPECT_EQ(stats.points, dataset.n());
+        EXPECT_EQ(stats.batches, (dataset.n() + chunk_size - 1) / chunk_size);
+        EXPECT_EQ(coreset->level(), baseline.level());
+        const auto cells = coreset->ExtractCells();
         ASSERT_EQ(cells.size(), baseline_cells.size());
         for (size_t c = 0; c < cells.size(); ++c) {
           EXPECT_EQ(cells[c].min_index, baseline_cells[c].min_index);
@@ -348,9 +368,9 @@ TEST(StreamingCoresetTest, MemoryBoundedByCellsNotInput) {
     stream::IngestOptions options;
     options.chunk_size = 512;
     options.coreset = coreset_options;
-    auto source = stream::MakeDatasetBatchSource(&dataset, options.chunk_size);
-    ASSERT_TRUE(source.ok());
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(
+        2, stream::ResumableDatasetFactory(&dataset, options.chunk_size),
+        options, &pool);
     ASSERT_TRUE(coreset.ok());
     EXPECT_LE(coreset->num_cells(), coreset_options.max_cells);
     EXPECT_LE(coreset->ApproxMemoryBytes(), kBudget) << "n=" << n;
@@ -433,19 +453,48 @@ TEST(StreamingCoresetTest, ExtractRepresentativesMatchesFlattenedCells) {
   }
 }
 
-TEST(StreamingIngestTest, BuildCoresetFromSourceRejectsCheckpointing) {
-  // A bare BatchSource cannot be re-opened, so it cannot honor the
-  // resume-or-fall-back contract; asking for a checkpoint must be an
-  // explicit error, not a silent no-op.
-  auto dataset = MakeDataset(50, 3);
-  ThreadPool pool(1);
+TEST(StreamingIngestTest, EmptyStreamIsRejected) {
+  ThreadPool pool(2);
   stream::IngestOptions options;
-  options.checkpoint.path = TempPath("rejected.ckpt");
-  auto source = stream::MakeDatasetBatchSource(&dataset, 16);
-  ASSERT_TRUE(source.ok());
-  auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+  const auto empty = []() -> Result<stream::BatchSource> {
+    return stream::MakeProducerBatchSource(
+        2, [](std::vector<double>*, std::vector<double>*) { return false; },
+        16);
+  };
+  auto coreset = stream::IngestCoreset(2, stream::AdaptBatchFactory(empty),
+                                       options, &pool);
   ASSERT_FALSE(coreset.ok());
   EXPECT_EQ(coreset.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(coreset.status().message(), "ingest: empty stream");
+}
+
+// A norm switch in the second batch fails the run while the reader
+// thread is already prefetching the third; the error return must still
+// stop and join it (run under TSan/ASan).
+TEST(StreamingIngestTest, MidStreamNormSwitchIsRejected) {
+  auto dataset = MakeDataset(200, 3);
+  ThreadPool pool(2);
+  stream::IngestOptions options;
+  options.shards = 1;
+  const auto switching = [&dataset]() -> Result<stream::BatchSource> {
+    UKC_ASSIGN_OR_RETURN(stream::BatchSource next,
+                         stream::MakeDatasetBatchSource(&dataset, 16));
+    auto pulls = std::make_shared<size_t>(0);
+    return stream::BatchSource(
+        [next, pulls](uncertain::UncertainPointBatch* batch) -> Result<bool> {
+          UKC_ASSIGN_OR_RETURN(bool more, next(batch));
+          if (++*pulls > 1) batch->norm = metric::Norm::kL1;
+          return more;
+        });
+  };
+  for (int round = 0; round < 20; ++round) {
+    auto coreset = stream::IngestCoreset(
+        2, stream::AdaptBatchFactory(switching), options, &pool);
+    ASSERT_FALSE(coreset.ok());
+    EXPECT_EQ(coreset.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(coreset.status().message(),
+              "ingest: batch norm changed mid-stream");
+  }
 }
 
 TEST(StreamingIngestTest, CheckpointedIngestMatchesPlainIngest) {
@@ -625,43 +674,9 @@ TEST(StreamingPipelineTest, CheckpointedSolveFileMatchesPlain) {
   EXPECT_GT(got->ingest_stats.checkpoint_saves, 0u);
 }
 
-// Regression for the SolveFile double header-parse: the header probe's
-// reader must seed pass 1 instead of the factory reopening the file.
-// Deleting the file right after the probe is the open-counting proof on
-// POSIX: the already-open reader keeps working (so the first factory
-// call consumed the probe — one open, one header parse for probe +
-// pass 1 combined), while any *further* pass must reopen and fails
-// NotFound.
-TEST(StreamingPipelineTest, SeededFileFactoryReusesProbeReader) {
-  const auto dataset = MakeDataset(50, 41);
-  const std::string path = TempPath("stream_seeded.ukc");
-  ASSERT_TRUE(uncertain::SaveDatasetToFile(dataset, path).ok());
-
-  auto probe = uncertain::DatasetReader::Open(path);
-  ASSERT_TRUE(probe.ok()) << probe.status();
-  ASSERT_EQ(std::remove(path.c_str()), 0);
-
-  auto factory =
-      stream::SeededFileBatchFactory(std::move(*probe), path, 16);
-  auto first = factory();
-  ASSERT_TRUE(first.ok()) << first.status();
-  uncertain::UncertainPointBatch batch;
-  size_t points = 0;
-  while (true) {
-    auto more = (*first)(&batch);
-    ASSERT_TRUE(more.ok()) << more.status();
-    if (!*more) break;
-    points += batch.n();
-  }
-  EXPECT_EQ(points, dataset.n());  // Full pass off the probe reader.
-
-  auto second = factory();
-  EXPECT_FALSE(second.ok());  // Later passes reopen the (gone) file.
-}
-
 // Read accounting of the pipeline: with verification off the stream is
-// opened exactly once; with it on, exactly twice. (SolveFile's pass 1
-// additionally rides the probe reader — see the test above.)
+// opened exactly once; with it on, exactly twice. (SolveFile opens the
+// file once more, up front, to read the dimension from its header.)
 TEST(StreamingPipelineTest, SolveOpensTheStreamOncePerPass) {
   auto dataset = MakeDataset(200, 43);
   for (bool verify : {false, true}) {

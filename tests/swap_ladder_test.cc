@@ -8,9 +8,7 @@
 //    candidates force escalations;
 //  * small candidate batches and single-stale-table swap rounds on a
 //    large dataset shard over the per-worker evaluators and must match
-//    a fresh ExpectedCostEvaluator (the oracle) at every thread count;
-//  * double-buffered streaming ingestion must extract the bitwise
-//    identical coreset as the serial read/process alternation.
+//    a fresh ExpectedCostEvaluator (the oracle) at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +26,6 @@
 #include "exper/instances.h"
 #include "metric/euclidean_space.h"
 #include "solver/gonzalez.h"
-#include "stream/ingest.h"
 #include "uncertain/dataset.h"
 #include "uncertain/uncertain_point.h"
 
@@ -283,52 +280,6 @@ TEST(SwapLadderTest, ScratchReservationPersists) {
     ASSERT_TRUE(evaluator.UnassignedCost(dataset, centers).ok());
   }
   EXPECT_EQ(evaluator.reserved_scratch(), dataset.total_locations());
-}
-
-// Double-buffered ingestion (read group r+1 while group r is
-// processed) must hand the shards the exact same batch sequence:
-// the extracted coreset is bitwise identical to the serial
-// read-then-process reference, for every (threads, chunk, shards)
-// combination tried.
-TEST(SwapLadderTest, DoubleBufferedIngestMatchesSerial) {
-  const auto dataset = MakeDataset(1200, 2, 3, 88);
-  const auto run = [&](bool double_buffer, int threads, size_t chunk,
-                       int shards) {
-    ThreadPool pool(threads);
-    stream::IngestOptions options;
-    options.chunk_size = chunk;
-    options.shards = shards;
-    options.double_buffer = double_buffer;
-    options.coreset.max_cells = 64;
-    options.coreset.base_cell_width = 0.25;
-    auto source = *stream::MakeDatasetBatchSource(&dataset, chunk);
-    stream::IngestStats stats;
-    auto coreset = *stream::BuildCoresetFromSource(
-        2, source, options, &pool, &stats);
-    return std::make_pair(coreset.ExtractCells(), stats);
-  };
-  for (int threads : kThreadCounts) {
-    for (size_t chunk : {7u, 64u, 4096u}) {
-      for (int shards : {1, 3, 8}) {
-        const auto [want, want_stats] = run(false, threads, chunk, shards);
-        const auto [got, got_stats] = run(true, threads, chunk, shards);
-        EXPECT_EQ(want_stats.points, got_stats.points);
-        EXPECT_EQ(want_stats.batches, got_stats.batches);
-        ASSERT_EQ(want.size(), got.size())
-            << "threads=" << threads << " chunk=" << chunk
-            << " shards=" << shards;
-        for (size_t c = 0; c < want.size(); ++c) {
-          EXPECT_EQ(want[c].count, got[c].count);
-          EXPECT_EQ(want[c].max_spread, got[c].max_spread);
-          ASSERT_EQ(want[c].representative.size(),
-                    got[c].representative.size());
-          for (size_t a = 0; a < want[c].representative.size(); ++a) {
-            EXPECT_EQ(want[c].representative[a], got[c].representative[a]);
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
