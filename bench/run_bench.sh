@@ -7,11 +7,24 @@
 #   bench/run_bench.sh [micro_bench args...]
 #
 # Set BUILD_DIR to reuse an existing build tree (defaults to ./build).
+# Refuses to run on a dirty tree: the recorded SHA must name the code
+# that was measured.
 
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${BUILD_DIR:-$root/build}"
+
+if ! status="$(git -C "$root" status --porcelain)"; then
+  echo "run_bench.sh: $root is not a git checkout" >&2
+  exit 1
+fi
+if [[ -n "$status" ]]; then
+  echo "run_bench.sh: the working tree has uncommitted changes; commit or" \
+       "stash them first" >&2
+  exit 1
+fi
+sha="$(git -C "$root" rev-parse HEAD)"
 
 # Always (re)build so the recorded numbers match the working tree; the
 # incremental build is a no-op when nothing changed.
@@ -22,7 +35,7 @@ cmake --build "$build" -j --target micro_bench
 
 # Provenance recorded into the JSON context (micro_bench main): the
 # commit the numbers were measured at, plus thread count / sizes.
-UKC_GIT_SHA="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+UKC_GIT_SHA="$sha" \
 "$build/micro_bench" \
   --benchmark_out="$root/BENCH_micro.json" \
   --benchmark_out_format=json \

@@ -204,7 +204,8 @@ Result<IngestCheckpoint> LoadCheckpoint(const std::string& path) {
       !cursor.ReadValue(&image_size)) {
     return corrupt("truncated header");
   }
-  checkpoint.has_byte_offset = has_offset != 0;
+  if (has_offset > 1) return corrupt("bad cursor flag");
+  checkpoint.has_byte_offset = has_offset == 1;
   if (image_size != static_cast<uint64_t>(cursor.end - cursor.p)) {
     return corrupt("image size mismatch");
   }

@@ -514,10 +514,11 @@ void StreamingCoreset::SerializeTo(std::string* out) const {
 
 Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
   ByteCursor cursor{bytes.data(), bytes.data() + bytes.size()};
-  const auto truncated = [] {
+  const auto corrupt = [](const char* what) {
     return Status::InvalidArgument(
-        "StreamingCoreset::Deserialize: truncated image");
+        StrFormat("StreamingCoreset::Deserialize: %s", what));
   };
+  const auto truncated = [&corrupt] { return corrupt("truncated image"); };
   uint32_t version = 0;
   if (!cursor.ReadValue(&version)) return truncated();
   if (version != kSerializeVersion) {
@@ -545,20 +546,26 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
   }
   if (dim == 0 || dim > (1u << 20) || max_cells == 0 ||
       !(base_cell_width > 0.0) || !std::isfinite(base_cell_width) ||
-      level < 0 || level > kMaxLevel || num_cells > num_points) {
-    return Status::InvalidArgument(
-        "StreamingCoreset::Deserialize: out-of-range header field");
+      level < 0 || level > kMaxLevel || num_cells > num_points ||
+      (num_cells > max_cells && level < kMaxLevel)) {
+    return corrupt("out-of-range header field");
   }
   if (norm_raw > static_cast<uint8_t>(metric::Norm::kLInf)) {
-    return Status::InvalidArgument(
-        "StreamingCoreset::Deserialize: unknown norm");
+    return corrupt("unknown norm");
   }
   if (track_members_raw > 1 ||
       (track_members_raw == 1 && churn_bucket == 0) ||
       (churn_bucket == 0 && watermark_bucket != 0)) {
-    return Status::InvalidArgument(
-        "StreamingCoreset::Deserialize: inconsistent churn configuration");
+    return corrupt("inconsistent churn configuration");
   }
+  // Counts are bounded by the bytes left before anything is sized by
+  // them: a cell record is at least a key, three scalars and a
+  // representative.
+  const uint64_t row_bytes = dim * sizeof(double);
+  const auto remaining = [&cursor] {
+    return static_cast<uint64_t>(cursor.end - cursor.p);
+  };
+  if (num_cells > remaining() / (2 * row_bytes + 24)) return truncated();
   CoresetOptions options;
   options.max_cells = static_cast<size_t>(max_cells);
   options.base_cell_width = base_cell_width;
@@ -570,7 +577,19 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
   coreset.num_points_ = num_points;
   coreset.watermark_bucket_ = watermark_bucket;
   coreset.cells_.reserve(num_cells);
+  // Every stored point must land in its cell at the stored level under
+  // the exact key an Add computes, which also refuses non-finite and
+  // off-grid coordinates; every spread is a finite distance.
+  const auto in_cell = [&coreset](const Key& key,
+                                  const std::vector<double>& coords) {
+    return coreset.ComputeKey(coords.data()).ok() &&
+           coreset.key_scratch_ == key;
+  };
+  const auto valid_spread = [](double spread) {
+    return spread >= 0.0 && std::isfinite(spread);
+  };
   uint64_t total_count = 0;
+  uint64_t prev_min_index = 0;
   for (uint64_t c = 0; c < num_cells; ++c) {
     Key key(dim);
     CellState state;
@@ -578,19 +597,24 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
     if (!cursor.Read(key.data(), dim * sizeof(int64_t)) ||
         !cursor.ReadValue(&state.min_index) || !cursor.ReadValue(&state.count) ||
         !cursor.ReadValue(&state.max_spread) ||
-        !cursor.Read(state.representative.data(), dim * sizeof(double))) {
+        !cursor.Read(state.representative.data(), row_bytes)) {
       return truncated();
     }
-    if (state.count == 0) {
-      return Status::InvalidArgument(
-          "StreamingCoreset::Deserialize: empty cell");
+    if (state.count == 0) return corrupt("empty cell");
+    if (!valid_spread(state.max_spread) ||
+        !in_cell(key, state.representative)) {
+      return corrupt("bad cell record");
     }
+    // SerializeTo writes cells in strictly increasing min_index order.
+    if (c > 0 && state.min_index <= prev_min_index) {
+      return corrupt("cells out of min_index order");
+    }
+    prev_min_index = state.min_index;
     if (churn_bucket > 0) {
       uint64_t num_buckets = 0;
       if (!cursor.ReadValue(&num_buckets)) return truncated();
       if (num_buckets == 0 || num_buckets > state.count) {
-        return Status::InvalidArgument(
-            "StreamingCoreset::Deserialize: bad bucket count");
+        return corrupt("bad bucket count");
       }
       uint64_t bucket_total = 0;
       uint64_t prev_bucket_id = 0;
@@ -603,15 +627,18 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
             !cursor.ReadValue(&bucket.min_index) ||
             !cursor.ReadValue(&bucket.count) ||
             !cursor.ReadValue(&bucket.max_spread) ||
-            !cursor.Read(bucket.representative.data(), dim * sizeof(double))) {
+            !cursor.Read(bucket.representative.data(), row_bytes)) {
           return truncated();
         }
         // Buckets were written in strictly increasing id order, never
-        // below the watermark (Add rejects such indices).
+        // below the watermark (Add rejects such indices), and hold only
+        // indices of their own id.
         if (bucket.count == 0 || bucket_id < watermark_bucket ||
-            (!first_bucket && bucket_id <= prev_bucket_id)) {
-          return Status::InvalidArgument(
-              "StreamingCoreset::Deserialize: bad bucket record");
+            (!first_bucket && bucket_id <= prev_bucket_id) ||
+            bucket.min_index / churn_bucket != bucket_id ||
+            !valid_spread(bucket.max_spread) ||
+            !in_cell(key, bucket.representative)) {
+          return corrupt("bad bucket record");
         }
         first_bucket = false;
         prev_bucket_id = bucket_id;
@@ -620,9 +647,9 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
           uint64_t num_members = 0;
           if (!cursor.ReadValue(&num_members)) return truncated();
           if (num_members != bucket.count) {
-            return Status::InvalidArgument(
-                "StreamingCoreset::Deserialize: member/count mismatch");
+            return corrupt("member/count mismatch");
           }
+          if (num_members > remaining() / (row_bytes + 16)) return truncated();
           bucket.members.resize(num_members);
           uint64_t prev_index = 0;
           for (uint64_t mi = 0; mi < num_members; ++mi) {
@@ -630,31 +657,48 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
             member.coords.resize(dim);
             if (!cursor.ReadValue(&member.index) ||
                 !cursor.ReadValue(&member.spread) ||
-                !cursor.Read(member.coords.data(), dim * sizeof(double))) {
+                !cursor.Read(member.coords.data(), row_bytes)) {
               return truncated();
             }
             if (mi > 0 && member.index <= prev_index) {
-              return Status::InvalidArgument(
-                  "StreamingCoreset::Deserialize: members out of order");
+              return corrupt("members out of order");
+            }
+            if (member.index / churn_bucket != bucket_id ||
+                !valid_spread(member.spread) || !in_cell(key, member.coords)) {
+              return corrupt("bad member record");
             }
             prev_index = member.index;
+          }
+          // The bucket's aggregates are the fold of its members.
+          const uint64_t min_index = bucket.min_index;
+          const double max_spread = bucket.max_spread;
+          const std::vector<double> representative = bucket.representative;
+          RefoldBucket(&bucket);
+          if (bucket.min_index != min_index ||
+              bucket.max_spread != max_spread ||
+              bucket.representative != representative) {
+            return corrupt("bucket aggregates disagree with its members");
           }
         }
         state.buckets.emplace(bucket_id, std::move(bucket));
       }
       if (bucket_total != state.count) {
-        return Status::InvalidArgument(
-            "StreamingCoreset::Deserialize: bucket counts do not sum to "
-            "the cell count");
+        return corrupt("bucket counts do not sum to the cell count");
+      }
+      // The cell's aggregates are the fold of its buckets.
+      const uint64_t min_index = state.min_index;
+      const double max_spread = state.max_spread;
+      const std::vector<double> representative = state.representative;
+      RefoldCell(&state);
+      if (state.min_index != min_index || state.max_spread != max_spread ||
+          state.representative != representative) {
+        return corrupt("cell aggregates disagree with its buckets");
       }
     }
     total_count += state.count;
     auto [it, inserted] =
         coreset.cells_.try_emplace(std::move(key), std::move(state));
-    if (!inserted) {
-      return Status::InvalidArgument(
-          "StreamingCoreset::Deserialize: duplicate cell key");
-    }
+    if (!inserted) return corrupt("duplicate cell key");
   }
   if (total_count != num_points) {
     return Status::InvalidArgument(StrFormat(
@@ -663,10 +707,7 @@ Result<StreamingCoreset> StreamingCoreset::Deserialize(std::string_view bytes) {
         static_cast<unsigned long long>(total_count),
         static_cast<unsigned long long>(num_points)));
   }
-  if (cursor.p != cursor.end) {
-    return Status::InvalidArgument(
-        "StreamingCoreset::Deserialize: trailing bytes");
-  }
+  if (cursor.p != cursor.end) return corrupt("trailing bytes");
   return coreset;
 }
 

@@ -194,7 +194,11 @@ class StreamingCoreset {
   /// Rebuilds a coreset from bytes written by SerializeTo. The span
   /// must be consumed exactly; truncation, trailing bytes, or any
   /// out-of-range field is an error (the checkpoint layer treats every
-  /// such error as "checkpoint unusable, re-ingest").
+  /// such error as "checkpoint unusable, re-ingest"). So is any record
+  /// SerializeTo could not have written: cells out of min_index order
+  /// or over capacity, a stored point outside its cell's grid key, a
+  /// negative or non-finite spread, churn aggregates that are not the
+  /// fold of their buckets and members.
   static Result<StreamingCoreset> Deserialize(std::string_view bytes);
 
  private:

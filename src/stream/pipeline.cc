@@ -290,12 +290,16 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveSource(
 Result<StreamingSolution> StreamingUncertainKCenter::SolveFile(
     const std::string& path) {
   // Open once up front for the header (dimension + early validation);
-  // each pass then opens the file afresh.
-  UKC_ASSIGN_OR_RETURN(const uncertain::DatasetReader probe,
-                       uncertain::DatasetReader::Open(path));
+  // each pass then opens the file afresh. The probe closes first, so
+  // its read block is not held through the passes.
+  size_t dim = 0;
+  {
+    UKC_ASSIGN_OR_RETURN(const uncertain::DatasetReader probe,
+                         uncertain::DatasetReader::Open(path));
+    dim = probe.dim();
+  }
   ScopedPool pool(options_.pool, options_.threads);
-  return Solve(probe.dim(),
-               ResumableFileFactory(path, options_.ingest.chunk_size),
+  return Solve(dim, ResumableFileFactory(path, options_.ingest.chunk_size),
                pool.get());
 }
 

@@ -1,16 +1,26 @@
 // Deterministic fault-injection framework (common/fault_injection.h):
 // fire decisions must be a pure function of (seed, site, hit index),
 // site rules must match exactly or by '*' prefix, and the disabled
-// path (no injector installed) must always return OK.
+// path (no injector installed) must always return OK. The
+// "io.read_block" site of the text reader (uncertain/io.h) must fail
+// as a read error and poison the reader.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/status.h"
+#include "common/strings.h"
+#include "common/thread_pool.h"
+#include "stream/ingest.h"
+#include "uncertain/io.h"
 
 namespace ukc {
 namespace {
@@ -143,6 +153,128 @@ TEST(FaultInjectionTest, ScopeUninstallsOnExit) {
   }
   EXPECT_EQ(FaultInjector::Active(), nullptr);
   EXPECT_TRUE(FaultInjector::Check("ingest.read").ok());
+}
+
+// A dim-1 text file of `n` one-location points; 20000 points span
+// more than five 64 KiB read blocks.
+std::string ManyPointsText(size_t n) {
+  std::string text = StrFormat("ukc-dataset 1\ndim 1\nn %zu\n", n);
+  for (size_t i = 0; i < n; ++i) text += StrFormat("point 1\n1 %zu.5\n", i);
+  return text;
+}
+
+// Serves the first `fail_at` bytes of `text`, then throws from
+// underflow — the stream sees a read that fails mid-block (badbit).
+class FailingBuffer : public std::streambuf {
+ public:
+  FailingBuffer(std::string text, size_t fail_at) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + fail_at);
+  }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("disk gone"); }
+
+ private:
+  std::string text_;
+};
+
+// Every later call on a poisoned reader returns `error` again.
+void ExpectPoisoned(uncertain::DatasetReader* reader, const Status& error) {
+  uncertain::UncertainPointBatch batch;
+  for (int retry = 0; retry < 2; ++retry) {
+    auto again = reader->ReadChunk(4, &batch);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), error.code());
+    EXPECT_EQ(again.status().message(), error.message());
+  }
+  const Status seek = reader->SeekTo(0, 0);
+  EXPECT_EQ(seek.code(), error.code());
+  EXPECT_EQ(seek.message(), error.message());
+  EXPECT_FALSE(reader->TellByteOffset().has_value());
+}
+
+TEST(ReadBlockFaultTest, InjectedRefillFailureIsAReadErrorAndPoisons) {
+  const std::string text = ManyPointsText(20000);
+  ASSERT_GT(text.size(), size_t{3} << 16);
+  FaultPlan plan;
+  // Hit 0 is the header's first block; hit 1 is the refill at byte
+  // 65536, in the middle of the first chunk.
+  plan.rules.push_back(
+      FaultRule{"io.read_block", {1}, 0.0, StatusCode::kUnavailable, 0});
+  ScopedFaultInjection scope(plan);
+  std::istringstream stream(text);
+  auto reader = uncertain::DatasetReader::FromStream(stream);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  uncertain::UncertainPointBatch batch;
+  auto produced = reader->ReadChunk(20000, &batch);
+  ASSERT_FALSE(produced.ok());
+  EXPECT_EQ(produced.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(produced.status().message(),
+            "DatasetReader: read error at byte offset 65536");
+  ExpectPoisoned(&*reader, produced.status());
+}
+
+TEST(ReadBlockFaultTest, ShortStreamReadIsAReadErrorNotTruncation) {
+  const std::string text = ManyPointsText(20000);
+  FailingBuffer buffer(text, 100000);
+  std::istream stream(&buffer);
+  auto reader = uncertain::DatasetReader::FromStream(stream);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  uncertain::UncertainPointBatch batch;
+  auto produced = reader->ReadChunk(20000, &batch);
+  ASSERT_FALSE(produced.ok());
+  EXPECT_EQ(produced.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(produced.status().message(),
+            "DatasetReader: read error at byte offset 65536");
+  ExpectPoisoned(&*reader, produced.status());
+}
+
+TEST(ReadBlockFaultTest, MalformedRecordPoisonsTheReader) {
+  // Point 5's location line is malformed. A second pull must not skip
+  // it and go on with point 6.
+  std::string text = "ukc-dataset 1\ndim 1\nn 10\n";
+  for (int i = 0; i < 10; ++i) {
+    text += i == 5 ? "point 1\n1 oops\n" : StrFormat("point 1\n1 %d\n", i);
+  }
+  std::istringstream stream(text);
+  auto reader = uncertain::DatasetReader::FromStream(stream);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  uncertain::UncertainPointBatch batch;
+  ASSERT_TRUE(reader->ReadChunk(4, &batch).ok());
+  auto produced = reader->ReadChunk(4, &batch);
+  ASSERT_FALSE(produced.ok());
+  EXPECT_EQ(produced.status().message(),
+            "ReadChunk: malformed location line for point 5: '1 oops'");
+  ExpectPoisoned(&*reader, produced.status());
+}
+
+TEST(ReadBlockFaultTest, TransientCodedRefillFaultIsNotRetriedIntoASplice) {
+  // A kUnavailable rule on io.read_block would be retried by the ingest
+  // pull loop if it surfaced as transient; it surfaces as Internal, and
+  // the reader is poisoned besides, so the ingest fails instead of
+  // resuming mid-record.
+  const std::string path = ::testing::TempDir() + "/read_block_fault.ukc";
+  std::ofstream(path) << ManyPointsText(20000);
+  FaultPlan plan;
+  plan.rules.push_back(
+      FaultRule{"io.read_block", {2}, 0.0, StatusCode::kUnavailable, 0});
+  ScopedFaultInjection scope(plan);
+  stream::IngestOptions options;
+  options.chunk_size = 1000;
+  options.shards = 1;
+  options.retry.max_attempts = 3;
+  ThreadPool pool(1);
+  stream::IngestStats stats;
+  auto coreset = stream::IngestCoreset(
+      1, stream::ResumableFileFactory(path, options.chunk_size), options,
+      &pool, &stats);
+  ASSERT_FALSE(coreset.ok());
+  EXPECT_EQ(coreset.status().code(), StatusCode::kInternal);
+  EXPECT_NE(coreset.status().message().find(
+                "DatasetReader: read error at byte offset"),
+            std::string::npos)
+      << coreset.status();
+  EXPECT_EQ(stats.read_retries, 0u);
 }
 
 #else  // !UKC_FAULT_INJECTION

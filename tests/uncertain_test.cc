@@ -242,6 +242,107 @@ TEST(IoTest, LoadIgnoresCommentsAndBlankLines) {
   EXPECT_EQ(loaded->euclidean()->point(loaded->point(0).site(0)), (Point{2.5}));
 }
 
+// --- Whole tokens and exact token counts ------------------------------------
+//
+// Each number token is consumed whole under strtod/strtoll semantics and
+// each line holds exactly its rule's tokens. Before, the reader took the
+// longest numeric prefix and ignored the rest of the line, accepting
+// every input below with a wrong value.
+
+// LoadDataset over a one-point, dim-1 file whose point line and
+// location line are given.
+Result<UncertainDataset> LoadOnePoint(const std::string& point_line,
+                                      const std::string& location_line) {
+  std::istringstream text("ukc-dataset 1\ndim 1\nn 1\n" + point_line + "\n" +
+                          location_line + "\n");
+  return LoadDataset(text);
+}
+
+double OnlyCoordinate(const UncertainDataset& dataset) {
+  return dataset.euclidean()->point(dataset.point(0).site(0))[0];
+}
+
+TEST(IoTokenTest, HexCoordinateReadsAsStrtodReadsIt) {
+  // Was accepted as x = 0 (the "0" prefix of the token).
+  auto loaded = LoadOnePoint("point 1", "1.0 0x1p3");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(OnlyCoordinate(*loaded), 8.0);
+}
+
+TEST(IoTokenTest, CommaInACoordinateIsMalformed) {
+  // Was accepted as x = 1.
+  auto loaded = LoadOnePoint("point 1", "1.0 1,5");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ReadChunk: malformed location line for point 0: '1.0 1,5'");
+}
+
+TEST(IoTokenTest, TrailingGarbageInACoordinateIsMalformed) {
+  // Was accepted as x = 2.5.
+  auto loaded = LoadOnePoint("point 1", "1.0 2.5abc");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ReadChunk: malformed location line for point 0: '1.0 2.5abc'");
+}
+
+TEST(IoTokenTest, ExtraCoordinateIsMalformed) {
+  // The 7 was silently dropped.
+  auto loaded = LoadOnePoint("point 1", "1.0 2.5 7");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ReadChunk: malformed location line for point 0: '1.0 2.5 7'");
+}
+
+TEST(IoTokenTest, ExtraTokenOnThePointLineIsRefused) {
+  // Was accepted as "point 1".
+  auto loaded = LoadOnePoint("point 1 junk", "1.0 2.5");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ReadChunk: expected 'point <z>' for point 0, got 'point 1 junk' "
+            "(byte offset 24)");
+}
+
+TEST(IoTokenTest, HeaderLinesHoldExactlyTheirTokens) {
+  std::istringstream dim("ukc-dataset 1\ndim 1 2\nn 1\npoint 1\n1 0\n");
+  auto loaded = LoadDataset(dim);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ukc-dataset: expected 'dim <count>', got 'dim 1 2'");
+  std::istringstream n("ukc-dataset 1\ndim 1\nn 1.5\npoint 1\n1 0\n");
+  loaded = LoadDataset(n);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "ukc-dataset: expected 'n <count>', got 'n 1.5'");
+  std::istringstream norm("ukc-dataset 1\ndim 1\nnorm L1 L2\nn 1\n");
+  loaded = LoadDataset(norm);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(), "ukc-dataset: malformed norm line");
+}
+
+TEST(IoTokenTest, NonFiniteCoordinatesAreMalformed) {
+  for (const char* token : {"inf", "-inf", "nan", "1e400"}) {
+    auto loaded = LoadOnePoint("point 1", std::string("1.0 ") + token);
+    ASSERT_FALSE(loaded.ok()) << token;
+    EXPECT_EQ(loaded.status().message(),
+              std::string("ReadChunk: malformed location line for point 0: "
+                          "'1.0 ") +
+                  token + "'");
+  }
+}
+
+TEST(IoTokenTest, PlusSignsCrlfAndCommentsParse) {
+  std::istringstream text(
+      "ukc-dataset +1\r\ndim 1\r\nn 1 # one\r\npoint +2\r\n"
+      "+0.25 -1.5e0\r\n0.75\t+2.5 # trailing\r\n");
+  auto loaded = LoadDataset(text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const UncertainPointView p = loaded->point(0);
+  ASSERT_EQ(p.num_locations(), 2u);
+  EXPECT_EQ(p.probability(0), 0.25);
+  EXPECT_EQ(loaded->euclidean()->point(p.site(0))[0], -1.5);
+  EXPECT_EQ(loaded->euclidean()->point(p.site(1))[0], 2.5);
+}
+
 TEST(IoTest, SaveRejectsNonEuclidean) {
   auto matrix = metric::MatrixSpace::Build({{0, 1}, {1, 0}});
   ASSERT_TRUE(matrix.ok());
