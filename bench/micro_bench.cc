@@ -515,6 +515,8 @@ void SwapLadderRounds(benchmark::State& state, bool compact) {
   options.threads = 1;
   options.evaluator.compact_swap_ladder = compact;
   cost::ParallelCandidateEvaluator parallel(options);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  const obs::RegistrySnapshot before = metrics.Snapshot();
   for (auto _ : state) {
     auto centers = seed->centers;
     for (size_t round = 0; round < kRounds; ++round) {
@@ -542,12 +544,15 @@ void SwapLadderRounds(benchmark::State& state, bool compact) {
       static_cast<double>(parallel.SwapLadderBytes());
   state.counters["swap_base_bytes"] =
       static_cast<double>(parallel.SwapBaseMemoryBytes());
-  state.counters["escalations"] =
-      static_cast<double>(parallel.LadderEscalations()) /
-      static_cast<double>(state.iterations());
+  const obs::RegistrySnapshot after = metrics.Snapshot();
+  const auto per_iteration = [&](const char* counter) {
+    return static_cast<double>(after.CounterTotal(counter) -
+                               before.CounterTotal(counter)) /
+           static_cast<double>(state.iterations());
+  };
+  state.counters["escalations"] = per_iteration("ukc_ladder_escalations_total");
   state.counters["replayed_events"] =
-      static_cast<double>(parallel.LadderReplayedEvents()) /
-      static_cast<double>(state.iterations());
+      per_iteration("ukc_ladder_replayed_events_total");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kRounds * 8 * pool.size()));
 }
@@ -743,7 +748,6 @@ void BM_CheckpointRestore(benchmark::State& state) {
 BENCHMARK(BM_CheckpointRestore)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
-#if UKC_FAULT_INJECTION
 // Ingestion under a flaky source: ~5% of batch pulls fail transiently
 // and are retried (zero-backoff sleeper, so the number measures the
 // retry machinery, not sleeping). Compare against BM_StreamIngest for
@@ -776,7 +780,6 @@ void BM_IngestWithFaultRetry(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestWithFaultRetry)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
-#endif  // UKC_FAULT_INJECTION
 
 void BM_MonteCarloCost1k(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -1030,7 +1033,7 @@ BENCHMARK(BM_ServeOverloadShed);
 
 // The hot-path overhead budget: one metered event is one relaxed
 // atomic add on a per-thread shard (plus bucket search + fixed-point
-// sum for histograms). These two numbers price every UKC_OBS metering
+// sum for histograms). These two numbers price every obs metering
 // site in serve/stream/cost; BM_Serve* and BM_StreamIngest above must
 // stay within noise of their pre-observability values.
 void BM_MetricsCounter(benchmark::State& state) {

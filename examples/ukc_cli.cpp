@@ -413,21 +413,19 @@ int main(int argc, char** argv) {
                         static_cast<double>(stats.queries_answered));
     report.AddRowValues("queries deadline-exceeded",
                         static_cast<double>(stats.queries_deadline_exceeded));
-    if (ukc::obs::kEnabled) {
-      // A quantile landing in the overflow bucket is a lower bound,
-      // not an estimate; say so instead of understating the tail.
-      const auto quantile_row = [&](const char* name, double q) {
-        bool overflow = false;
-        const double ms = query_seconds.Quantile(q, &overflow) * 1e3;
-        std::ostringstream cell;
-        cell << (overflow ? ">= " : "") << ms;
-        report.AddRow({name, cell.str()});
-      };
-      quantile_row("query p50 ms", 0.50);
-      quantile_row("query p95 ms", 0.95);
-      quantile_row("query p99 ms", 0.99);
-      report.AddRowValues("query mean ms", query_seconds.Mean() * 1e3);
-    }
+    // A quantile landing in the overflow bucket is a lower bound,
+    // not an estimate; say so instead of understating the tail.
+    const auto quantile_row = [&](const char* name, double q) {
+      bool overflow = false;
+      const double ms = query_seconds.Quantile(q, &overflow) * 1e3;
+      std::ostringstream cell;
+      cell << (overflow ? ">= " : "") << ms;
+      report.AddRow({name, cell.str()});
+    };
+    quantile_row("query p50 ms", 0.50);
+    quantile_row("query p95 ms", 0.95);
+    quantile_row("query p99 ms", 0.99);
+    report.AddRowValues("query mean ms", query_seconds.Mean() * 1e3);
     if (restore_ms >= 0.0) {
       report.AddRowValues("failover restore ms", restore_ms);
       report.AddRowValues("failover restored epoch",

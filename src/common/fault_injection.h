@@ -6,9 +6,9 @@
 //
 // inside Status-returning functions. With no injector installed — the
 // default, and always in production — the macro costs one relaxed
-// atomic load and a predicted branch; built with -DUKC_FAULT_INJECTION=0
-// it compiles to nothing. Tests install a FaultPlan via
-// ScopedFaultInjection to make chosen sites fail.
+// atomic load and a predicted branch. The hooks are compiled into every
+// build. Tests install a FaultPlan via ScopedFaultInjection to make
+// chosen sites fail.
 //
 // Determinism contract: every fire decision is a pure function of
 // (plan seed, site name, per-site hit index). Sites on serial paths
@@ -27,12 +27,9 @@
 #ifndef UKC_COMMON_FAULT_INJECTION_H_
 #define UKC_COMMON_FAULT_INJECTION_H_
 
-// Compile-time gate, set by the build (CMake option
-// UKC_FAULT_INJECTION, default ON). When off, UKC_INJECT_FAULT is a
-// no-op and none of the hook code is emitted.
-#ifndef UKC_FAULT_INJECTION
+// Always 1: kept only because the e2e benchmark prints it in its
+// provenance line.
 #define UKC_FAULT_INJECTION 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -129,15 +126,9 @@ std::vector<uint64_t> FaultSeedsFromEnv(const char* variable = "UKC_FAULTS");
 
 }  // namespace ukc
 
-#if UKC_FAULT_INJECTION
 /// Injects a Status failure at this point when the active plan says
 /// so. Must appear inside a function returning Status or Result<T>.
 #define UKC_INJECT_FAULT(site) \
   UKC_RETURN_IF_ERROR(::ukc::FaultInjector::Check(site))
-#else
-#define UKC_INJECT_FAULT(site) \
-  do {                         \
-  } while (false)
-#endif
 
 #endif  // UKC_COMMON_FAULT_INJECTION_H_

@@ -50,8 +50,9 @@ struct UncertainKCenterOptions {
   int threads = 1;
   /// Borrowed shared worker pool. When set, `threads` is ignored and
   /// every stage of the run (surrogates, assignment) shares this pool
-  /// instead of constructing private ones — the hook the streaming
-  /// pipeline (stream/pipeline.h) uses to pay worker spawn once.
+  /// instead of constructing private ones — the hook LocalSearchUnassigned
+  /// (core/unassigned.h) uses to run its seed solve on its own pool; the
+  /// baselines (baselines/baselines.h) borrow a pool the same way.
   ThreadPool* pool = nullptr;
   /// Cancellation/budget token checked between pipeline phases
   /// (surrogates → clustering → assignment → evaluation) and inside

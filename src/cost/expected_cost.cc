@@ -33,13 +33,8 @@ Result<double> ExactAssignedCost(const uncertain::UncertainDataset& dataset,
 }
 
 Result<double> ExactUnassignedCost(const uncertain::UncertainDataset& dataset,
-                                   const std::vector<metric::SiteId>& centers,
-                                   const ExactCostOptions& options) {
-  ExpectedCostEvaluator& evaluator = ThreadLocalEvaluator();
-  ExpectedCostEvaluator::Options evaluator_options = evaluator.options();
-  evaluator_options.kdtree_cutover = options.kdtree_cutover;
-  evaluator.set_options(evaluator_options);
-  return evaluator.UnassignedCost(dataset, centers);
+                                   const std::vector<metric::SiteId>& centers) {
+  return ThreadLocalEvaluator().UnassignedCost(dataset, centers);
 }
 
 Result<MonteCarloEstimate> MonteCarloAssignedCost(

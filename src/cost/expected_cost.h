@@ -48,11 +48,9 @@ double ExpectedMaxOfIndependent(
 Result<double> ExactAssignedCost(const uncertain::UncertainDataset& dataset,
                                  const Assignment& assignment);
 
-/// Exact unassigned expected cost Ecost for the given centers. The
-/// options select the kd-tree cutover (see ExactCostOptions).
+/// Exact unassigned expected cost Ecost for the given centers.
 Result<double> ExactUnassignedCost(const uncertain::UncertainDataset& dataset,
-                                   const std::vector<metric::SiteId>& centers,
-                                   const ExactCostOptions& options = {});
+                                   const std::vector<metric::SiteId>& centers);
 
 /// Options bounding the brute-force enumerations.
 struct BruteForceCostOptions {

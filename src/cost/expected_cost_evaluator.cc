@@ -902,7 +902,6 @@ ExpectedCostEvaluator::EscalateAndCollect(
   // location with base >= median threshold (a superset of what any rung
   // >= it replays — entries below the chosen rung are skipped by the
   // scoring loop), tracking each point's improved minimum service.
-  ++ladder_escalations_;
   {
     static obs::Counter* const escalations =
         obs::MetricsRegistry::Default().GetCounter(
@@ -1119,7 +1118,6 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
         const Event& event = base.events[e];
         derived_cdf_[event.index] += event.probability;
       }
-      ladder_replayed_events_ += level->index - deepest.index;
       {
         static obs::Counter* const replayed =
             obs::MetricsRegistry::Default().GetCounter(
@@ -1230,44 +1228,15 @@ Result<MonteCarloEstimate> ExpectedCostEvaluator::MonteCarloOverTable(
   const size_t n = dataset.n();
   const size_t* offsets = dataset.offsets().data();
 
-  const auto run_chunk = [&](Rng* chunk_rng, int64_t chunk_samples,
-                             RunningStats* stats) {
-    for (int64_t s = 0; s < chunk_samples; ++s) {
-      double worst = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t j = sampler.SamplePoint(*chunk_rng, i);
-        const double d = distance_table_[offsets[i] + j];
-        if (d > worst) worst = d;
-      }
-      stats->Add(worst);
-    }
-  };
-
   RunningStats stats;
-  const int threads =
-      static_cast<int>(std::min<int64_t>(options_.monte_carlo_threads, samples));
-  if (threads <= 1) {
-    run_chunk(&rng, samples, &stats);
-  } else {
-    // Deterministic fan-out: chunk t draws from a forked child stream,
-    // so the estimate depends only on (seed, threads), not scheduling.
-    std::vector<Rng> chunk_rngs;
-    chunk_rngs.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      chunk_rngs.push_back(rng.Fork(static_cast<uint64_t>(t)));
+  for (int64_t s = 0; s < samples; ++s) {
+    double worst = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t j = sampler.SamplePoint(rng, i);
+      const double d = distance_table_[offsets[i] + j];
+      if (d > worst) worst = d;
     }
-    std::vector<RunningStats> partial(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const int64_t base = samples / threads;
-    const int64_t extra = samples % threads;
-    for (int t = 0; t < threads; ++t) {
-      const int64_t chunk_samples = base + (t < extra ? 1 : 0);
-      workers.emplace_back(run_chunk, &chunk_rngs[t], chunk_samples,
-                           &partial[t]);
-    }
-    for (auto& worker : workers) worker.join();
-    for (const RunningStats& p : partial) stats.Merge(p);
+    stats.Add(worst);
   }
 
   MonteCarloEstimate estimate;

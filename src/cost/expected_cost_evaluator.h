@@ -20,7 +20,8 @@
 //   - a kd-tree over the current center set, cached and only rebuilt
 //     when the centers actually change;
 //   - the per-location distance table + alias samplers for Monte-Carlo
-//     estimation, with optional thread fan-out over samples.
+//     estimation (serial; ParallelCandidateEvaluator fans batches out
+//     over its pool).
 //
 // Worked example — scoring many candidate center sets:
 //
@@ -83,12 +84,6 @@ using DiscreteDistribution = std::vector<std::pair<double, double>>;
 /// k = 40.
 inline constexpr size_t kDefaultKdTreeCutover = 40;
 
-/// Options bounding the exact evaluations (BruteForceCostOptions-style).
-struct ExactCostOptions {
-  /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
-  size_t kdtree_cutover = kDefaultKdTreeCutover;
-};
-
 /// A Monte-Carlo estimate with its standard error.
 struct MonteCarloEstimate {
   double mean = 0.0;
@@ -131,9 +126,6 @@ class ExpectedCostEvaluator {
   struct Options {
     /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
     size_t kdtree_cutover = kDefaultKdTreeCutover;
-    /// Threads fanning out over Monte-Carlo samples; 1 = sequential
-    /// (and bit-identical to the historical estimator).
-    int monte_carlo_threads = 1;
     /// Ignored: every exact evaluation runs the serial sort-sweep. Kept
     /// only so the end-to-end benchmark, which still sets it, compiles;
     /// delete it together with that assignment.
@@ -187,17 +179,6 @@ class ExpectedCostEvaluator {
   /// The armed reservation (events), 0 when ReserveScratch was never
   /// called.
   size_t reserved_scratch() const { return scratch_reservation_; }
-
-  /// Ladder-compaction observability: how many swap evaluations
-  /// escalated past rung 0, and how many base events were replayed to
-  /// re-derive compacted intermediate rung CDFs. Monotone counters,
-  /// reset by ResetSwapCounters.
-  uint64_t ladder_escalations() const { return ladder_escalations_; }
-  uint64_t ladder_replayed_events() const { return ladder_replayed_events_; }
-  void ResetSwapCounters() {
-    ladder_escalations_ = 0;
-    ladder_replayed_events_ = 0;
-  }
 
   /// Precomputed read-only tables for the presorted swap path: the base
   /// event stream sorted by (value, location), plus a LADDER of sweep
@@ -487,10 +468,6 @@ class ExpectedCostEvaluator {
   // churn mid-trajectory).
   size_t scratch_reservation_ = 0;
   size_t scratch_reservation_points_ = 0;
-
-  // Ladder-compaction counters (see accessors).
-  uint64_t ladder_escalations_ = 0;
-  uint64_t ladder_replayed_events_ = 0;
 
   // Derived-rung cache for the compacted ladder: the last intermediate
   // CDF reconstructed from the deepest rung, keyed by (table build id,

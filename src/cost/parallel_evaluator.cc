@@ -50,11 +50,9 @@ ParallelCandidateEvaluator::ParallelCandidateEvaluator()
 
 ParallelCandidateEvaluator::ParallelCandidateEvaluator(Options options)
     : options_(options), pool_(options.pool, options.threads) {
-  ExpectedCostEvaluator::Options worker_options = options_.evaluator;
-  worker_options.monte_carlo_threads = 1;  // The pool is the only fan-out.
   evaluators_ = std::vector<ExpectedCostEvaluator>(pool_->num_threads());
   for (ExpectedCostEvaluator& evaluator : evaluators_) {
-    evaluator.set_options(worker_options);
+    evaluator.set_options(options_.evaluator);
   }
 }
 
@@ -570,22 +568,6 @@ size_t ParallelCandidateEvaluator::SwapBaseMemoryBytes() const {
     bytes += base.deep_first.capacity() * sizeof(double);
   }
   return bytes;
-}
-
-uint64_t ParallelCandidateEvaluator::LadderEscalations() const {
-  uint64_t escalations = 0;
-  for (const ExpectedCostEvaluator& evaluator : evaluators_) {
-    escalations += evaluator.ladder_escalations();
-  }
-  return escalations;
-}
-
-uint64_t ParallelCandidateEvaluator::LadderReplayedEvents() const {
-  uint64_t events = 0;
-  for (const ExpectedCostEvaluator& evaluator : evaluators_) {
-    events += evaluator.ladder_replayed_events();
-  }
-  return events;
 }
 
 Status ParallelCandidateEvaluator::ForEachTask(

@@ -69,8 +69,7 @@ class ParallelCandidateEvaluator {
     /// no private pool is constructed (see ScopedPool). The evaluator
     /// sizes one worker evaluator per pool thread.
     ThreadPool* pool = nullptr;
-    /// Per-worker evaluator configuration. monte_carlo_threads is
-    /// forced to 1 for the workers: the pool is the only fan-out.
+    /// Per-worker evaluator configuration.
     ExpectedCostEvaluator::Options evaluator;
     /// Roll SwapCostMatrix base tables across calls when the dataset is
     /// unchanged and at most one center differs (bitwise identical to a
@@ -150,12 +149,11 @@ class ParallelCandidateEvaluator {
   /// Observability for the compacted snapshot ladder: SwapLadderBytes
   /// is the resident snapshot-CDF bytes across the cached swap-base
   /// tables (the storage the compaction shrinks); SwapBaseMemoryBytes
-  /// adds the event streams and escalation side tables on top. The
-  /// escalation/replay counters aggregate over every owned evaluator.
+  /// adds the event streams and escalation side tables on top. How
+  /// often the ladder escalates is counted in the obs registry
+  /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
   size_t SwapLadderBytes() const;
   size_t SwapBaseMemoryBytes() const;
-  uint64_t LadderEscalations() const;
-  uint64_t LadderReplayedEvents() const;
 
   /// Generic sharding hook: runs fn(evaluator, task) for every task in
   /// [0, count) over the worker pool, handing each invocation the

@@ -121,8 +121,6 @@ HistogramSnapshot RegistrySnapshot::HistogramTotal(
   return total;
 }
 
-#if UKC_OBS
-
 namespace internal {
 
 size_t ShardIndex() {
@@ -470,15 +468,6 @@ size_t MetricsRegistry::NumMetrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
 }
-
-#else  // !UKC_OBS
-
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* const kDefault = new MetricsRegistry();
-  return *kDefault;
-}
-
-#endif  // UKC_OBS
 
 }  // namespace obs
 }  // namespace ukc

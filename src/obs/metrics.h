@@ -9,9 +9,9 @@
 //   - Metrics live OUTSIDE fingerprinted state. Nothing here feeds a
 //     checkpoint fingerprint, a swap-table epoch, or any other
 //     correctness decision; deleting every instrumentation site leaves
-//     all answers bitwise unchanged (asserted by tests/obs_test.cc and
-//     the serve chaos suite, which compares coreset state with metrics
-//     on and the `verify-obs` tree with them compiled out).
+//     all answers bitwise unchanged (asserted by tests/obs_test.cc,
+//     which runs a local search, a streaming solve and a serve script
+//     once on a zeroed registry and once on a saturated one).
 //   - Hot-path cost is ONE RELAXED ATOMIC ADD: each metric keeps a
 //     small fixed array of cache-line-padded per-thread shards (a
 //     thread's stable slot is assigned on first touch), so concurrent
@@ -19,11 +19,8 @@
 //     registry order with commutative integer arithmetic — a snapshot
 //     is deterministic given the same event counts, regardless of
 //     which thread observed which event.
-//   - A compile gate mirrors fault injection: built with -DUKC_OBS=OFF
-//     every class below becomes an inline no-op stub and the UKC_OBS_*
-//     macros compile to nothing, so perf-measurement builds carry zero
-//     instrumentation. The `verify-obs` CMake target proves tier-1
-//     stays green on that path.
+//   - There is one build: the layer is always compiled in. A build
+//     without it measured no faster end to end (docs/operations.md).
 //
 // Handles returned by MetricsRegistry::Get* are owned by the registry
 // and stable for its lifetime; call sites cache them (registration
@@ -34,12 +31,6 @@
 
 #ifndef UKC_OBS_METRICS_H_
 #define UKC_OBS_METRICS_H_
-
-// Compile-time gate, set by the build (CMake option UKC_OBS, default
-// ON). When off, the registry and every handle are inline no-op stubs.
-#ifndef UKC_OBS
-#define UKC_OBS 1
-#endif
 
 #include <array>
 #include <atomic>
@@ -55,9 +46,9 @@
 namespace ukc {
 namespace obs {
 
-/// True when the build carries instrumentation; tests that assert
-/// observed counts GTEST_SKIP themselves when false.
-inline constexpr bool kEnabled = UKC_OBS != 0;
+/// Always true: kept only because the e2e benchmark prints it in its
+/// provenance line.
+inline constexpr bool kEnabled = true;
 
 /// Label set of one metric: (key, value) pairs, stored sorted by key
 /// so {a,b} and {b,a} are one metric.
@@ -128,8 +119,6 @@ struct RegistrySnapshot {
   /// Merge of every histogram label set of `name` (empty when none).
   HistogramSnapshot HistogramTotal(std::string_view name) const;
 };
-
-#if UKC_OBS
 
 namespace internal {
 
@@ -282,67 +271,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;  // Registration order.
   std::unordered_map<std::string, Entry*> index_;
 };
-
-#else  // !UKC_OBS — inline no-op stubs; wiring code compiles away.
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  void Increment() {}
-  uint64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  void ObserveSeconds(double) {}
-  HistogramSnapshot Snapshot() const { return {}; }
-  const std::vector<double>& bounds() const { return LatencyBuckets(); }
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  static MetricsRegistry& Default();
-
-  Counter* GetCounter(std::string_view, std::string_view = "",
-                      LabelList = {}) {
-    return &counter_;
-  }
-  Gauge* GetGauge(std::string_view, std::string_view = "", LabelList = {}) {
-    return &gauge_;
-  }
-  Histogram* GetHistogram(std::string_view, std::string_view = "",
-                          LabelList = {},
-                          const std::vector<double>& = LatencyBuckets()) {
-    return &histogram_;
-  }
-
-  RegistrySnapshot Snapshot() const { return {}; }
-  std::string ExportPrometheus() const {
-    return "# ukc observability compiled out (UKC_OBS=0)\n";
-  }
-  std::string ExportJson() const { return "{\"metrics\":[]}"; }
-  void Reset() {}
-  size_t NumMetrics() const { return 0; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // UKC_OBS
 
 }  // namespace obs
 }  // namespace ukc

@@ -12,8 +12,6 @@ std::string& ThreadPath() {
 
 }  // namespace
 
-#if UKC_OBS
-
 namespace internal {
 namespace {
 
@@ -74,12 +72,6 @@ TraceSpan::~TraceSpan() {
 }
 
 const std::string& TraceSpan::CurrentPath() { return ThreadPath(); }
-
-#else  // !UKC_OBS
-
-const std::string& TraceSpan::CurrentPath() { return ThreadPath(); }
-
-#endif  // UKC_OBS
 
 }  // namespace obs
 }  // namespace ukc

@@ -14,9 +14,6 @@
 // into a caller-provided Histogram handle (resolved once at setup, so
 // the destructor never touches the registry mutex). Use ScopedTimer on
 // per-batch / per-query paths, TraceSpan on per-run stage structure.
-//
-// Built with -DUKC_OBS=OFF both compile to nothing (the UKC_OBS_SPAN /
-// UKC_OBS_TIMER macros expand to a no-op statement).
 
 #ifndef UKC_OBS_TRACE_H_
 #define UKC_OBS_TRACE_H_
@@ -29,8 +26,6 @@
 
 namespace ukc {
 namespace obs {
-
-#if UKC_OBS
 
 namespace internal {
 
@@ -102,27 +97,9 @@ class TraceSpan {
   uint64_t start_;
 };
 
-#else  // !UKC_OBS
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram*) {}
-  double ElapsedSeconds() const { return 0.0; }
-  void Cancel() {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string_view, MetricsRegistry* = nullptr) {}
-  static const std::string& CurrentPath();
-};
-
-#endif  // UKC_OBS
-
 }  // namespace obs
 }  // namespace ukc
 
-#if UKC_OBS
 #define UKC_OBS_CONCAT_INNER_(a, b) a##b
 #define UKC_OBS_CONCAT_(a, b) UKC_OBS_CONCAT_INNER_(a, b)
 /// Times the enclosing scope into `histogram` (an obs::Histogram*).
@@ -131,13 +108,5 @@ class TraceSpan {
 /// Opens a named span over the enclosing scope (default registry).
 #define UKC_OBS_SPAN(name) \
   ::ukc::obs::TraceSpan UKC_OBS_CONCAT_(ukc_obs_span_, __LINE__)(name)
-#else
-#define UKC_OBS_TIMER(histogram) \
-  do {                           \
-  } while (false)
-#define UKC_OBS_SPAN(name) \
-  do {                     \
-  } while (false)
-#endif
 
 #endif  // UKC_OBS_TRACE_H_

@@ -245,8 +245,6 @@ TEST(CheckpointTest, UnwritableDirectoryFailsCleanly) {
   EXPECT_FALSE(status.ok());
 }
 
-#if UKC_FAULT_INJECTION
-
 TEST(CheckpointTest, FailedSaveLeavesThePreviousCheckpointIntact) {
   // The crash-consistency claim, exercised at each injection site of
   // the write path: after a failed save the previous checkpoint still
@@ -286,8 +284,6 @@ TEST(CheckpointTest, ReadFaultSurfacesAsLoadError) {
   ScopedFaultInjection scope(plan);
   EXPECT_FALSE(stream::LoadCheckpoint(path).ok());
 }
-
-#endif  // UKC_FAULT_INJECTION
 
 }  // namespace
 }  // namespace ukc

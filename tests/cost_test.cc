@@ -174,6 +174,12 @@ TEST_F(CostFixture, MonteCarloAgreesWithExact) {
   EXPECT_NEAR(estimate->mean, *exact, 5.0 * estimate->std_error + 1e-9);
   EXPECT_GT(estimate->std_error, 0.0);
   EXPECT_EQ(estimate->samples, 200000);
+
+  // Deterministic: the same seed reproduces the mean.
+  Rng rng_again(9);
+  auto again = MonteCarloAssignedCost(*dataset_, assignment, 200000, rng_again);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(estimate->mean, again->mean);
 }
 
 TEST_F(CostFixture, MonteCarloUnassignedAgreesWithExact) {

@@ -34,8 +34,6 @@
 namespace ukc {
 namespace {
 
-#if UKC_FAULT_INJECTION
-
 constexpr size_t kN = 400;
 constexpr size_t kChunk = 16;
 // ceil(kN / kChunk): the number of non-empty batches of the stream.
@@ -403,14 +401,6 @@ TEST_F(CrashRecoveryTest, ExhaustedRetriesFailTheRunThenRecover) {
   ASSERT_TRUE(recovery.ok) << recovery.status;
   ExpectCellsBitwiseEqual(recovery.cells, *baseline_);
 }
-
-#else  // !UKC_FAULT_INJECTION
-
-TEST(CrashRecoveryTest, CompiledOut) {
-  GTEST_SKIP() << "built with -DUKC_FAULT_INJECTION=0";
-}
-
-#endif  // UKC_FAULT_INJECTION
 
 }  // namespace
 }  // namespace ukc

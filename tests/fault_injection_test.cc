@@ -25,8 +25,6 @@
 namespace ukc {
 namespace {
 
-#if UKC_FAULT_INJECTION
-
 TEST(FaultInjectionTest, NoInjectorMeansAlwaysOk) {
   ASSERT_EQ(FaultInjector::Active(), nullptr);
   for (int i = 0; i < 100; ++i) {
@@ -276,14 +274,6 @@ TEST(ReadBlockFaultTest, TransientCodedRefillFaultIsNotRetriedIntoASplice) {
       << coreset.status();
   EXPECT_EQ(stats.read_retries, 0u);
 }
-
-#else  // !UKC_FAULT_INJECTION
-
-TEST(FaultInjectionTest, CompiledOut) {
-  GTEST_SKIP() << "built with -DUKC_FAULT_INJECTION=0";
-}
-
-#endif  // UKC_FAULT_INJECTION
 
 TEST(FaultSeedsFromEnvTest, ParsesSeedLists) {
   const char* kVar = "UKC_FAULTS_TEST_VAR";

@@ -1,26 +1,37 @@
 // Observability core (src/obs/): registry get-or-create identity,
 // counter/gauge/histogram semantics, deterministic multi-threaded
 // snapshots, quantile extraction, Prometheus/JSON export shape, and
-// the span path stack. Everything runs against private registries so
+// the span path stack. Those tests run against private registries so
 // counts are exact regardless of what other tests metered into the
-// process-wide default.
+// process-wide default. The last suite is the one that uses the
+// default registry: it proves no answer of the library reads a metric.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/unassigned.h"
+#include "exper/instances.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/registry.h"
+#include "stream/pipeline.h"
+#include "uncertain/chunk.h"
 
 namespace ukc {
 namespace obs {
 namespace {
 
 TEST(MetricsRegistryTest, GetOrCreateReturnsStableHandles) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("ukc_test_total", "help", {{"k", "v"}});
   Counter* b = registry.GetCounter("ukc_test_total", "ignored", {{"k", "v"}});
@@ -38,7 +49,6 @@ TEST(MetricsRegistryTest, GetOrCreateReturnsStableHandles) {
 }
 
 TEST(MetricsRegistryTest, CounterAndGaugeValues) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("ukc_c_total");
   Gauge* gauge = registry.GetGauge("ukc_g");
@@ -61,7 +71,6 @@ TEST(MetricsRegistryTest, CounterAndGaugeValues) {
 }
 
 TEST(MetricsRegistryTest, HistogramCountsSumAndQuantiles) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   // Bounds 1, 2, 4, 8: values land by upper_bound (value <= bound).
   Histogram* h = registry.GetHistogram("ukc_h_seconds", "", {},
@@ -92,7 +101,6 @@ TEST(MetricsRegistryTest, HistogramCountsSumAndQuantiles) {
 // the quantile with a "<q>_lower_bound" field so dashboards can render
 // "p99 >= X" instead of a silently wrong point estimate.
 TEST(MetricsRegistryTest, OverflowQuantilesAreFlaggedAsLowerBounds) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("ukc_over_seconds", "", {},
                                        ExponentialBuckets(1.0, 2.0, 4));
@@ -121,7 +129,6 @@ TEST(MetricsRegistryTest, OverflowQuantilesAreFlaggedAsLowerBounds) {
 // multiset of observed events, not on which thread observed which —
 // integer bucket counts and the fixed-point sum are commutative.
 TEST(MetricsRegistryTest, SnapshotDeterministicAcrossThreadCounts) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   RegistrySnapshot reference;
   for (const int threads : {1, 2, 8}) {
     MetricsRegistry registry;
@@ -149,7 +156,6 @@ TEST(MetricsRegistryTest, SnapshotDeterministicAcrossThreadCounts) {
 }
 
 TEST(MetricsRegistryTest, PrometheusExportShape) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   registry.GetCounter("ukc_x_total", "counts x", {{"site", "a"}})->Add(3);
   registry
@@ -170,7 +176,6 @@ TEST(MetricsRegistryTest, PrometheusExportShape) {
 }
 
 TEST(TraceSpanTest, NestedSpansBuildDottedPaths) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   EXPECT_EQ(TraceSpan::CurrentPath(), "");
   {
@@ -192,7 +197,6 @@ TEST(TraceSpanTest, NestedSpansBuildDottedPaths) {
 }
 
 TEST(ScopedTimerTest, ObservesOnceAndCancelDetaches) {
-  if (!kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("ukc_t_seconds");
   { ScopedTimer timer(h); }
@@ -202,6 +206,139 @@ TEST(ScopedTimerTest, ObservesOnceAndCancelDetaches) {
   }
   { ScopedTimer timer(nullptr); }  // Measure-only: must not crash.
   EXPECT_EQ(h->Snapshot().count, 1u);
+}
+
+// --- Answers never read the registry ----------------------------------------
+//
+// Metrics live outside every correctness decision (see metrics.h). Three
+// workloads run on a zeroed default registry and again after every
+// registered counter and gauge was pushed up by 2^40 and every histogram
+// got an observation in its overflow bucket. Centers, costs, brackets
+// and the serve tenant's coreset image must be bitwise equal.
+
+uncertain::UncertainDataset SmallInstance(uint64_t seed) {
+  exper::InstanceSpec spec;
+  spec.family = exper::Family::kClustered;
+  spec.n = 60;
+  spec.z = 3;
+  spec.dim = 2;
+  spec.k = 3;
+  spec.seed = seed;
+  return std::move(exper::MakeInstance(spec)).value();
+}
+
+// One uncertain point of 1..3 equally likely locations in [-10, 10]^2.
+uncertain::UncertainPointBatch OnePoint(Rng& rng) {
+  uncertain::UncertainPointBatch batch;
+  batch.dim = 2;
+  batch.norm = metric::Norm::kL2;
+  const size_t locations = 1 + rng.Next() % 3;
+  for (size_t l = 0; l < 2 * locations; ++l) {
+    batch.coords.push_back(rng.UniformDouble(-10.0, 10.0));
+  }
+  batch.probabilities.assign(locations, 1.0 / static_cast<double>(locations));
+  batch.offsets = {0, locations};
+  return batch;
+}
+
+// Every number one pass answered, as bits, then the coreset image.
+struct Answers {
+  std::vector<uint64_t> bits;
+  std::string coreset_bytes;
+
+  void Add(const std::vector<double>& values) {
+    for (double value : values) bits.push_back(std::bit_cast<uint64_t>(value));
+  }
+};
+
+void RunWorkloads(const std::string& snapshot_path, Answers* answers) {
+  uncertain::UncertainDataset search_data = SmallInstance(5);
+  core::UnassignedSearchOptions search;
+  search.k = 3;
+  search.max_swaps = 4;
+  search.threads = 2;
+  auto searched = core::LocalSearchUnassigned(&search_data, search);
+  ASSERT_TRUE(searched.ok()) << searched.status();
+  answers->bits.insert(answers->bits.end(), searched->centers.begin(),
+                       searched->centers.end());
+  answers->Add({searched->expected_cost});
+
+  uncertain::UncertainDataset stream_data = SmallInstance(6);
+  stream::StreamingOptions streaming;
+  streaming.k = 3;
+  streaming.threads = 2;
+  streaming.ingest.chunk_size = 16;
+  streaming.ingest.coreset.max_cells = 24;
+  auto streamed =
+      stream::StreamingUncertainKCenter(streaming).SolveDataset(&stream_data);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  answers->Add(streamed->center_coords);
+  answers->Add({streamed->coreset_cost, streamed->verified_lower,
+                streamed->verified_upper, streamed->verified_exact});
+
+  serve::TenantConfig config;
+  config.k = 3;
+  config.coreset.max_cells = 16;
+  config.coreset.base_cell_width = 1e-3;
+  config.window_points = 24;
+  config.allow_deletes = true;
+  config.snapshot_path = snapshot_path;
+  serve::TenantRegistry registry(serve::RegistryOptions{});
+  ASSERT_TRUE(registry.CreateTenant("t", config).ok());
+  Rng rng(17);
+  std::vector<uncertain::UncertainPointBatch> acked;  // By stream index.
+  for (int step = 0; step < 40; ++step) {
+    if (step % 5 == 4) {
+      // Each delete takes the newest point, inside the window.
+      ASSERT_TRUE(
+          registry.SubmitDelete("t", acked.size() - 1, acked.back()).ok());
+    }
+    acked.push_back(OnePoint(rng));
+    ASSERT_TRUE(registry.SubmitAppend("t", acked.back()).ok());
+    if (step % 8 == 7) {
+      ASSERT_EQ(registry.Drain().failed, 0u);
+      auto centers = registry.QueryCenters("t", Deadline());
+      ASSERT_TRUE(centers.ok()) << centers.status();
+      answers->Add(centers->center_coords);
+      answers->Add({centers->cost, centers->lower, centers->upper});
+    }
+  }
+  ASSERT_TRUE(registry.FindTenant("t")->Snapshot().ok());
+  std::ifstream in(snapshot_path, std::ios::binary);
+  answers->coreset_bytes.assign(std::istreambuf_iterator<char>(in), {});
+  ASSERT_FALSE(answers->coreset_bytes.empty());
+}
+
+TEST(RegistryIndependenceTest, AnswersIgnoreEveryMetricValue) {
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  const std::string path = ::testing::TempDir() + "/obs_independence.ckpt";
+  // The first pass registers every metric the workloads touch, so the
+  // saturation below reaches all of them.
+  Answers first, zeroed, saturated;
+  ASSERT_NO_FATAL_FAILURE(RunWorkloads(path, &first));
+  registry.Reset();
+  ASSERT_NO_FATAL_FAILURE(RunWorkloads(path, &zeroed));
+
+  constexpr uint64_t kBump = uint64_t{1} << 40;
+  for (const MetricSnapshot& metric : registry.Snapshot().metrics) {
+    if (metric.type == MetricType::kCounter) {
+      registry.GetCounter(metric.name, "", metric.labels)->Add(kBump);
+    } else if (metric.type == MetricType::kGauge) {
+      registry.GetGauge(metric.name, "", metric.labels)->Add(kBump);
+    } else {
+      Histogram* histogram =
+          registry.GetHistogram(metric.name, "", metric.labels);
+      histogram->Observe(2.0 * histogram->bounds().back());
+    }
+  }
+  ASSERT_GT(registry.Snapshot().CounterTotal("ukc_serve_appends_total"),
+            kBump);
+  ASSERT_NO_FATAL_FAILURE(RunWorkloads(path, &saturated));
+
+  EXPECT_EQ(zeroed.bits, first.bits);
+  EXPECT_EQ(saturated.bits, zeroed.bits);
+  EXPECT_EQ(saturated.coreset_bytes, zeroed.coreset_bytes);
+  registry.Reset();
 }
 
 }  // namespace

@@ -211,7 +211,6 @@ TEST(RetryTest, StatsAccumulateAcrossCalls) {
 // into its RetryOptions::metrics registry, labeled by metrics_site —
 // the counts must mirror RetryStats exactly.
 TEST(RetryTest, EmitsCountersThroughTheMetricsRegistry) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   obs::MetricsRegistry registry;
   RetryOptions options;
   options.max_attempts = 3;

@@ -478,8 +478,6 @@ TEST(ServeTest, IsShedRequiresBothCodeAndMarker) {
   EXPECT_TRUE(serve::IsShed(serve::ShedStatus("queue full")));
 }
 
-#if UKC_FAULT_INJECTION
-
 TEST(ServeTest, TransientEnqueueFaultRetriesButShedDoesNot) {
   // The regression the retry_if satellite exists for: an injected
   // transient enqueue fault IS retried (and clears), while a shed —
@@ -996,62 +994,60 @@ void ChaosRound(uint64_t seed, size_t num_ops,
   // The observability bar: the exported snapshot's counters match the
   // ServeStats mirror one-for-one AND the event counts this test
   // observed from the outside (sheds, deadline hits, restores).
-  if (obs::kEnabled) {
-    const obs::RegistrySnapshot snapshot = chaos_metrics.Snapshot();
-    const auto counter = [&snapshot](const char* name, const char* key,
-                                     const char* value) -> uint64_t {
-      const obs::MetricSnapshot* series = snapshot.Find(name, {{key, value}});
-      return series == nullptr ? 0u : series->counter_value;
-    };
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "submitted"),
-              stats.appends_submitted);
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "shed"),
-              stats.appends_shed);
-    EXPECT_EQ(stats.appends_shed, sheds);
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "enqueue_fault"),
-              stats.enqueue_faults);
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "refused"),
-              stats.appends_refused);
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "applied"),
-              stats.appends_applied);
-    EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "failed"),
-              stats.append_failures);
-    EXPECT_EQ(counter("ukc_serve_snapshots_total", "outcome", "saved"),
-              stats.snapshots_saved);
-    EXPECT_EQ(counter("ukc_serve_snapshots_total", "outcome", "failed"),
-              stats.snapshot_failures);
-    EXPECT_EQ(counter("ukc_serve_tenant_events_total", "event", "degrade"),
-              stats.degrade_events);
-    EXPECT_EQ(counter("ukc_serve_tenant_events_total", "event", "recover"),
-              stats.recover_events);
-    EXPECT_EQ(
-        counter("ukc_serve_tenant_events_total", "event", "failover_restore"),
-        restores);
-    EXPECT_EQ(counter("ukc_serve_queries_total", "outcome", "answered"),
-              stats.queries_answered);
-    EXPECT_EQ(
-        counter("ukc_serve_queries_total", "outcome", "deadline_exceeded"),
-        stats.queries_deadline_exceeded);
-    EXPECT_EQ(stats.queries_deadline_exceeded, deadline_hits);
-    EXPECT_EQ(counter("ukc_serve_queries_total", "outcome", "failed"),
-              stats.queries_failed);
-    // Every query that reached a tenant landed in a latency histogram
-    // (deadline-burners included — they must show in the tail).
-    EXPECT_EQ(snapshot.HistogramTotal("ukc_serve_query_seconds").count,
-              stats.queries_answered + stats.queries_deadline_exceeded +
-                  stats.queries_failed);
-    if (counter_digest != nullptr) {
-      std::string digest;
-      for (const obs::MetricSnapshot& series : snapshot.metrics) {
-        if (series.type != obs::MetricType::kCounter) continue;
-        digest += series.name;
-        for (const auto& label : series.labels) {
-          digest += "{" + label.first + "=" + label.second + "}";
-        }
-        digest += "=" + std::to_string(series.counter_value) + "\n";
+  const obs::RegistrySnapshot snapshot = chaos_metrics.Snapshot();
+  const auto counter = [&snapshot](const char* name, const char* key,
+                                   const char* value) -> uint64_t {
+    const obs::MetricSnapshot* series = snapshot.Find(name, {{key, value}});
+    return series == nullptr ? 0u : series->counter_value;
+  };
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "submitted"),
+            stats.appends_submitted);
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "shed"),
+            stats.appends_shed);
+  EXPECT_EQ(stats.appends_shed, sheds);
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "enqueue_fault"),
+            stats.enqueue_faults);
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "refused"),
+            stats.appends_refused);
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "applied"),
+            stats.appends_applied);
+  EXPECT_EQ(counter("ukc_serve_appends_total", "outcome", "failed"),
+            stats.append_failures);
+  EXPECT_EQ(counter("ukc_serve_snapshots_total", "outcome", "saved"),
+            stats.snapshots_saved);
+  EXPECT_EQ(counter("ukc_serve_snapshots_total", "outcome", "failed"),
+            stats.snapshot_failures);
+  EXPECT_EQ(counter("ukc_serve_tenant_events_total", "event", "degrade"),
+            stats.degrade_events);
+  EXPECT_EQ(counter("ukc_serve_tenant_events_total", "event", "recover"),
+            stats.recover_events);
+  EXPECT_EQ(
+      counter("ukc_serve_tenant_events_total", "event", "failover_restore"),
+      restores);
+  EXPECT_EQ(counter("ukc_serve_queries_total", "outcome", "answered"),
+            stats.queries_answered);
+  EXPECT_EQ(
+      counter("ukc_serve_queries_total", "outcome", "deadline_exceeded"),
+      stats.queries_deadline_exceeded);
+  EXPECT_EQ(stats.queries_deadline_exceeded, deadline_hits);
+  EXPECT_EQ(counter("ukc_serve_queries_total", "outcome", "failed"),
+            stats.queries_failed);
+  // Every query that reached a tenant landed in a latency histogram
+  // (deadline-burners included — they must show in the tail).
+  EXPECT_EQ(snapshot.HistogramTotal("ukc_serve_query_seconds").count,
+            stats.queries_answered + stats.queries_deadline_exceeded +
+                stats.queries_failed);
+  if (counter_digest != nullptr) {
+    std::string digest;
+    for (const obs::MetricSnapshot& series : snapshot.metrics) {
+      if (series.type != obs::MetricType::kCounter) continue;
+      digest += series.name;
+      for (const auto& label : series.labels) {
+        digest += "{" + label.first + "=" + label.second + "}";
       }
-      *counter_digest = digest;
+      digest += "=" + std::to_string(series.counter_value) + "\n";
     }
+    *counter_digest = digest;
   }
 }
 
@@ -1063,7 +1059,6 @@ TEST(ServeTest, ChaosMetricsSnapshotDeterministicAcrossRuns) {
   // The same storm replayed into fresh metrics registries exports the
   // SAME counter values series-for-series: the op sequence is
   // deterministic, so nothing run-dependent can leak into the snapshot.
-  if (!obs::kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   std::string reference;
   for (int run = 0; run < 2; ++run) {
     SCOPED_TRACE(::testing::Message() << "run=" << run);
@@ -1088,14 +1083,6 @@ TEST(ServeTest, ChaosSeedSweepFromEnvironment) {
     ChaosRound(Mix64(seed), /*num_ops=*/300);
   }
 }
-
-#else  // !UKC_FAULT_INJECTION
-
-TEST(ServeTest, FaultSuiteCompiledOut) {
-  GTEST_SKIP() << "built with -DUKC_FAULT_INJECTION=0";
-}
-
-#endif  // UKC_FAULT_INJECTION
 
 }  // namespace
 }  // namespace ukc

@@ -12,8 +12,7 @@
 //   - ExpectedCostEvaluator vs BruteForce* enumeration on tiny
 //     instances, and vs the pre-refactor log/exp sweep formulation on
 //     the exper::MakeInstance families (1e-9 relative tolerance);
-//   - the kd-tree and linear unassigned paths against each other, and
-//     threaded vs sequential Monte Carlo.
+//   - the kd-tree and linear unassigned paths against each other.
 
 #include <gtest/gtest.h>
 
@@ -399,42 +398,6 @@ TEST(EvaluatorParityTest, BatchMatchesIndividualCalls) {
     ASSERT_TRUE(single.ok());
     EXPECT_DOUBLE_EQ((*batch)[s], *single);
   }
-}
-
-TEST(EvaluatorParityTest, ThreadedMonteCarloMatchesExact) {
-  exper::InstanceSpec spec;
-  spec.family = exper::Family::kClustered;
-  spec.n = 30;
-  spec.z = 4;
-  spec.dim = 2;
-  spec.k = 3;
-  spec.seed = 21;
-  auto dataset = exper::MakeInstance(spec);
-  ASSERT_TRUE(dataset.ok());
-  const auto sites = dataset->LocationSites();
-  auto centers = solver::Gonzalez(dataset->space(), sites, spec.k);
-  ASSERT_TRUE(centers.ok());
-  auto assignment = cost::AssignExpectedDistance(*dataset, centers->centers);
-  ASSERT_TRUE(assignment.ok());
-  auto exact = cost::ExactAssignedCost(*dataset, *assignment);
-  ASSERT_TRUE(exact.ok());
-
-  cost::ExpectedCostEvaluator::Options options;
-  options.monte_carlo_threads = 4;
-  cost::ExpectedCostEvaluator evaluator(options);
-  Rng rng(99);
-  auto estimate =
-      evaluator.MonteCarloAssignedCost(*dataset, *assignment, 100000, rng);
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_EQ(estimate->samples, 100000);
-  EXPECT_NEAR(estimate->mean, *exact, 6.0 * estimate->std_error + 1e-9);
-
-  // Deterministic: the same seed and thread count reproduce the mean.
-  Rng rng_again(99);
-  auto again =
-      evaluator.MonteCarloAssignedCost(*dataset, *assignment, 100000, rng_again);
-  ASSERT_TRUE(again.ok());
-  EXPECT_DOUBLE_EQ(estimate->mean, again->mean);
 }
 
 }  // namespace
