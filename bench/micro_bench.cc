@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks for the library's hot paths:
 // surrogate construction, deterministic clustering, assignment, exact
-// cost evaluation, multi-candidate (batch / swap-sweep) evaluation,
+// cost evaluation, multi-candidate (swap-sweep) evaluation,
 // sampling, and enclosing balls.
 //
 // The custom main records provenance context into the JSON output
@@ -202,58 +202,6 @@ BENCHMARK(BM_UnassignedCostKdTree)
     ->Args({4000, 48})
     ->Args({4000, 64});
 
-// Batched evaluation of many candidate center sets through one
-// evaluator (the PR 1 serial local-search access pattern — the
-// single-threaded baseline the parallel/swap paths are measured
-// against).
-void BM_UnassignedCostBatch(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto dataset = MakeDataset(n);
-  const auto sites = dataset.LocationSites();
-  auto seed = solver::Gonzalez(dataset.space(), sites, 8);
-  std::vector<std::vector<metric::SiteId>> center_sets;
-  for (size_t swap = 0; swap < 16; ++swap) {
-    auto centers = seed->centers;
-    centers[swap % centers.size()] = sites[(swap * 97) % sites.size()];
-    center_sets.push_back(std::move(centers));
-  }
-  cost::ExpectedCostEvaluator evaluator;
-  for (auto _ : state) {
-    auto values = evaluator.UnassignedCostBatch(dataset, center_sets);
-    benchmark::DoNotOptimize(values);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(center_sets.size()));
-}
-BENCHMARK(BM_UnassignedCostBatch)->Arg(1000)->Arg(4000)->Arg(10000);
-
-// The same 16 candidate sets through the worker-pool batch path.
-void BM_ParallelUnassignedCostBatch(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  auto dataset = MakeDataset(n);
-  const auto sites = dataset.LocationSites();
-  auto seed = solver::Gonzalez(dataset.space(), sites, 8);
-  std::vector<std::vector<metric::SiteId>> center_sets;
-  for (size_t swap = 0; swap < 16; ++swap) {
-    auto centers = seed->centers;
-    centers[swap % centers.size()] = sites[(swap * 97) % sites.size()];
-    center_sets.push_back(std::move(centers));
-  }
-  cost::ParallelCandidateEvaluator::Options options;
-  options.threads = threads;
-  cost::ParallelCandidateEvaluator parallel(options);
-  for (auto _ : state) {
-    auto values = parallel.UnassignedCostBatch(dataset, center_sets);
-    benchmark::DoNotOptimize(values);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(center_sets.size()));
-}
-BENCHMARK(BM_ParallelUnassignedCostBatch)
-    ->ArgsProduct({{10000, 100000}, {1, 2, 4}})
-    ->UseRealTime();
-
 // One local-search round (k = 8 positions × 16 pool candidates = 128
 // swapped center sets), scored the PR 1 way: a full exact evaluation
 // per swap through one serial evaluator.
@@ -365,86 +313,6 @@ void BM_SwapSweepIncremental(benchmark::State& state) {
   SwapSweepRounds(state, /*incremental=*/true);
 }
 BENCHMARK(BM_SwapSweepIncremental)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-// Dynamic churn: one single-point edit (alternating insert / delete)
-// followed by a SwapCostMatrix round, the access pattern of local
-// search over a mutating instance. `incremental` routes the edit
-// through ApplyDatasetEdit so the cached swap tables roll over
-// (EditSwapBase sparse rewrites, kernel work only for the inserted
-// locations); off, the edit silently invalidates the fingerprint and
-// every round pays the full table rebuild.
-void ChurnTrajectory(benchmark::State& state, bool incremental) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto dataset = MakeDataset(n);
-  metric::EuclideanSpace* space = dataset.euclidean();
-  UKC_CHECK(space != nullptr);
-  const size_t dim = space->dim();
-  const auto sites = dataset.LocationSites();
-  auto seed = solver::Gonzalez(dataset.space(), sites, 8);
-  std::vector<metric::SiteId> pool;
-  for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
-  cost::ParallelCandidateEvaluator::Options options;
-  options.threads = 1;
-  options.incremental_rollover = true;
-  options.kd_prune = true;
-  cost::ParallelCandidateEvaluator evaluator(options);
-  {
-    auto warm = evaluator.SwapCostMatrix(dataset, seed->centers, pool);
-    UKC_CHECK(warm.ok()) << warm.status();
-  }
-  Rng rng(0xC0DE);
-  std::vector<double> coords(dim);
-  bool insert_next = true;
-  for (auto _ : state) {
-    cost::DatasetEdit edit;
-    if (insert_next) {
-      std::vector<uncertain::Location> locations;
-      for (size_t l = 0; l < 4; ++l) {
-        for (double& c : coords) c = rng.UniformDouble(-10.0, 10.0);
-        locations.push_back(
-            uncertain::Location{space->AddCoords(coords.data()), 0.25});
-      }
-      auto point = uncertain::UncertainPoint::Build(std::move(locations));
-      UKC_CHECK(point.ok());
-      edit.is_insert = true;
-      edit.point = static_cast<uint32_t>(dataset.n());
-      edit.location_begin = dataset.total_locations();
-      edit.location_end = edit.location_begin + 4;
-      UKC_CHECK(dataset.AppendPoint(*point).ok());
-    } else {
-      const size_t victim = rng.Next() % dataset.n();
-      edit.is_insert = false;
-      edit.point = static_cast<uint32_t>(victim);
-      edit.location_begin = dataset.offsets()[victim];
-      edit.location_end = dataset.offsets()[victim + 1];
-      UKC_CHECK(dataset.RemovePoint(victim).ok());
-    }
-    insert_next = !insert_next;
-    if (incremental) {
-      UKC_CHECK(evaluator.ApplyDatasetEdit(dataset, edit).ok());
-    }
-    auto values = evaluator.SwapCostMatrix(dataset, seed->centers, pool);
-    UKC_CHECK(values.ok()) << values.status();
-    benchmark::DoNotOptimize(values);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_ChurnTrajectory(benchmark::State& state) {
-  ChurnTrajectory(state, /*incremental=*/true);
-}
-BENCHMARK(BM_ChurnTrajectory)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ChurnTrajectoryRebuild(benchmark::State& state) {
-  ChurnTrajectory(state, /*incremental=*/false);
-}
-BENCHMARK(BM_ChurnTrajectoryRebuild)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);

@@ -26,22 +26,6 @@ double RunningStats::StdError() const {
   return StdDev() / std::sqrt(static_cast<double>(count_));
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void KahanSum::Add(double x) {
   const double y = x - compensation_;
   const double t = sum_ + y;

@@ -35,9 +35,6 @@ class RunningStats {
   double Min() const { return min_; }
   double Max() const { return max_; }
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const RunningStats& other);
-
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

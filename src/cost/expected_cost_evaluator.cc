@@ -381,19 +381,6 @@ Result<double> ExpectedCostEvaluator::UnassignedCost(
   return SweepEvents(dataset.n());
 }
 
-Result<std::vector<double>> ExpectedCostEvaluator::UnassignedCostBatch(
-    const uncertain::UncertainDataset& dataset,
-    const std::vector<std::vector<metric::SiteId>>& center_sets) {
-  ScratchGuard guard(this);
-  std::vector<double> values;
-  values.reserve(center_sets.size());
-  for (const auto& centers : center_sets) {
-    UKC_ASSIGN_OR_RETURN(double value, UnassignedCost(dataset, centers));
-    values.push_back(value);
-  }
-  return values;
-}
-
 Status ExpectedCostEvaluator::BuildSwapBase(
     const uncertain::UncertainDataset& dataset,
     std::span<const double> base_distances, std::span<const uint32_t> point_of,
@@ -482,98 +469,6 @@ Status ExpectedCostEvaluator::PatchSwapBase(
     }
   }
   out->events.assign(events_scratch_.begin(), events_scratch_.end());
-  FinishSwapBase(dataset, new_base, out);
-  return Status::OK();
-}
-
-Status ExpectedCostEvaluator::EditSwapBase(
-    const uncertain::UncertainDataset& dataset, std::span<const double> new_base,
-    std::span<const uint32_t> point_of, const DatasetEdit& edit, SwapBase* out) {
-  ScratchGuard guard(this);
-  UKC_CHECK(out != nullptr);
-  const size_t total = dataset.total_locations();
-  if (new_base.size() != total || point_of.size() != total) {
-    return Status::InvalidArgument(
-        "EditSwapBase: table sizes must equal total_locations");
-  }
-  if (edit.location_end <= edit.location_begin) {
-    return Status::InvalidArgument(
-        "EditSwapBase: edit location range must be non-empty");
-  }
-  const size_t span = edit.location_end - edit.location_begin;
-  const size_t old_total = edit.is_insert ? total - span : total + span;
-  if (edit.is_insert && edit.location_end != total) {
-    return Status::InvalidArgument(
-        "EditSwapBase: an insert must append at the end of the stream");
-  }
-  if (!edit.is_insert && edit.location_end > old_total) {
-    return Status::InvalidArgument(
-        "EditSwapBase: delete range exceeds the pre-edit stream");
-  }
-  if (out->events.size() != old_total) {
-    return Status::InvalidArgument(
-        "EditSwapBase: table was not built for the pre-edit stream");
-  }
-  const double* probabilities = dataset.flat_probabilities().data();
-  CheckScratchReservation();
-
-  if (edit.is_insert) {
-    // The new point's events, sorted among themselves. Their location
-    // ids and point index exceed every retained entry's, so a sorted
-    // merge lands ties in exactly the (value, location) order the full
-    // sort produces.
-    changed_.clear();
-    for (size_t l = edit.location_begin; l < edit.location_end; ++l) {
-      changed_.emplace_back(new_base[l], static_cast<uint32_t>(l));
-    }
-    std::sort(changed_.begin(), changed_.end());
-    events_scratch_.resize(total);
-    size_t a = 0;  // out->events (kept, already in order).
-    size_t b = 0;  // changed_ (the appended point).
-    for (size_t slot = 0; slot < total; ++slot) {
-      const bool take_kept =
-          b >= changed_.size() ||
-          (a < out->events.size() &&
-           (out->events[a].value != changed_[b].first
-                ? out->events[a].value < changed_[b].first
-                : out->events[a].location < changed_[b].second));
-      if (take_kept) {
-        events_scratch_[slot] = out->events[a++];
-      } else {
-        const uint32_t l = changed_[b].second;
-        events_scratch_[slot] =
-            Event{changed_[b].first, point_of[l], l, probabilities[l]};
-        ++b;
-      }
-    }
-    out->events.assign(events_scratch_.begin(), events_scratch_.end());
-  } else {
-    // Compaction: drop the deleted point's events and renumber the
-    // retained index/location fields for the closed gap. The
-    // renumbering is strictly monotone on retained locations and the
-    // values are untouched, so the (value, location) order survives
-    // without a sort; per-location probabilities are unchanged by a
-    // whole-point removal.
-    events_.clear();
-    events_.reserve(total);
-    for (const Event& event : out->events) {
-      if (event.location >= edit.location_begin &&
-          event.location < edit.location_end) {
-        continue;
-      }
-      Event kept = event;
-      if (kept.location >= edit.location_end) {
-        kept.location -= static_cast<uint32_t>(span);
-      }
-      if (kept.index > edit.point) kept.index -= 1;
-      events_.push_back(kept);
-    }
-    if (events_.size() != total) {
-      return Status::InvalidArgument(
-          "EditSwapBase: delete range does not match the table's events");
-    }
-    out->events.assign(events_.begin(), events_.end());
-  }
   FinishSwapBase(dataset, new_base, out);
   return Status::OK();
 }

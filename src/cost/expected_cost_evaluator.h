@@ -20,8 +20,7 @@
 //   - a kd-tree over the current center set, cached and only rebuilt
 //     when the centers actually change;
 //   - the per-location distance table + alias samplers for Monte-Carlo
-//     estimation (serial; ParallelCandidateEvaluator fans batches out
-//     over its pool).
+//     estimation (serial; every draw comes from the caller's Rng).
 //
 // Worked example — scoring many candidate center sets:
 //
@@ -31,20 +30,16 @@
 //                          evaluator.UnassignedCost(dataset, centers));
 //     if (value < best) { best = value; best_centers = centers; }
 //   }
-//   // ... or in one call, sharing scratch across the whole batch:
-//   UKC_ASSIGN_OR_RETURN(std::vector<double> values,
-//                        evaluator.UnassignedCostBatch(dataset,
-//                                                      candidate_center_sets));
 //
 // The evaluator is cheap to construct but only pays off when reused; the
 // free functions in expected_cost.h delegate to a thread-local instance,
 // so one-off callers get the fast path too. An evaluator must not be
 // shared across threads concurrently (it is mutable scratch); create one
 // per thread instead — cost::ParallelCandidateEvaluator does exactly
-// that to shard big batches over a worker pool. The contract is
-// enforced: every public evaluation entry point checks (via an atomic
-// owner mark) that no second thread is inside the same instance and
-// aborts with a CHECK failure on violation.
+// that to shard swap candidates (and ForEachTask jobs) over a worker
+// pool. The contract is enforced: every public evaluation entry point
+// checks (via an atomic owner mark) that no second thread is inside the
+// same instance and aborts with a CHECK failure on violation.
 
 #ifndef UKC_COST_EXPECTED_COST_EVALUATOR_H_
 #define UKC_COST_EXPECTED_COST_EVALUATOR_H_
@@ -91,24 +86,6 @@ struct MonteCarloEstimate {
   int64_t samples = 0;
 };
 
-/// One dataset mutation, as consumed by the incremental swap-table
-/// edit paths (ExpectedCostEvaluator::EditSwapBase,
-/// ParallelCandidateEvaluator::ApplyDatasetEdit). Two shapes only:
-/// append of one point at the END of the instance (is_insert; indices
-/// and the location range are POST-edit — the new point is n-1 and its
-/// locations are the flat tail), or compacting removal of one point
-/// (indices and range are PRE-edit; later points shift down by one and
-/// the flat arrays close the gap, values unchanged).
-struct DatasetEdit {
-  bool is_insert = false;
-  /// The appended point's post-edit index (n-1) or the removed point's
-  /// pre-edit index.
-  uint32_t point = 0;
-  /// The point's flat location range [begin, end).
-  size_t location_begin = 0;
-  size_t location_end = 0;
-};
-
 /// Reusable exact/Monte-Carlo expected-cost engine. See file comment.
 class ExpectedCostEvaluator {
  public:
@@ -131,7 +108,7 @@ class ExpectedCostEvaluator {
     /// delete it together with that assignment.
     ThreadPool* sweep_pool = nullptr;
     /// Cancellation/budget token checked once per evaluation entry
-    /// (per candidate on batch and swap paths — coarse on purpose, so
+    /// (per candidate on the swap paths — coarse on purpose, so
     /// the unexpired cost is one relaxed atomic load per candidate).
     /// The default token never expires. On expiry the evaluation
     /// returns kDeadlineExceeded; the evaluator's scratch is reusable
@@ -162,18 +139,12 @@ class ExpectedCostEvaluator {
   Result<double> UnassignedCost(const uncertain::UncertainDataset& dataset,
                                 const std::vector<metric::SiteId>& centers);
 
-  /// Scores many candidate center sets, sharing all scratch (and the
-  /// kd-tree cache, for repeated sets) across the batch.
-  Result<std::vector<double>> UnassignedCostBatch(
-      const uncertain::UncertainDataset& dataset,
-      const std::vector<std::vector<metric::SiteId>>& center_sets);
-
   /// Pre-reserves every sweep/swap scratch buffer for a dataset with
   /// `n` points and `total_locations` locations (the dataset header),
-  /// so repeated batch calls — SwapCostMatrix rounds in particular —
-  /// never reallocate mid-trajectory. Also arms the no-shrink
-  /// contract: once reserved, every subsequent swap-base build CHECKs
-  /// that the scratch capacity has not dropped below the reservation.
+  /// so repeated SwapCostMatrix rounds never reallocate mid-trajectory.
+  /// Also arms the no-shrink contract: once reserved, every subsequent
+  /// swap-base build CHECKs that the scratch capacity has not dropped
+  /// below the reservation.
   void ReserveScratch(size_t n, size_t total_locations);
 
   /// The armed reservation (events), 0 when ReserveScratch was never
@@ -202,6 +173,7 @@ class ExpectedCostEvaluator {
   /// emission start, and the highest still-valid rung scores it with a
   /// partial replay. Only a candidate that improves essentially half
   /// the points below the median rung pays the full merge.
+  /// Depth justified by wall_s@solve: 2 and 3 rungs ran slower (ROADMAP 4(a)).
   static constexpr size_t kSwapLadderRungs = 7;
 
   struct SwapBase {
@@ -277,28 +249,6 @@ class ExpectedCostEvaluator {
                        std::span<const double> new_base,
                        std::span<const uint32_t> point_of, SwapBase* out);
 
-  /// Rebuilds `out` — previously built for the PRE-edit instance —
-  /// for the post-edit `dataset` after a single-point insert or
-  /// delete, by EDITING the sorted stream instead of re-sorting:
-  ///   - delete: one compaction pass drops the removed point's events
-  ///     and renumbers the retained index/location fields. The
-  ///     renumbering is strictly monotone on retained locations and
-  ///     values are untouched, so the (value, location) order is
-  ///     preserved without a sort.
-  ///   - insert (append-at-end): the new point's events are sorted
-  ///     among themselves and merged in; their location ids and point
-  ///     index exceed every existing one, so the merge reproduces the
-  ///     full sort's tie order exactly.
-  /// Then the ladder is re-swept (FinishSwapBase), making the result
-  /// BITWISE identical to BuildSwapBase on the post-edit instance at
-  /// O(N + z log z) instead of a fresh radix sort. `new_base` and
-  /// `point_of` are the POST-edit tables; the caller guarantees the
-  /// retained entries' base values are unchanged by the edit.
-  Status EditSwapBase(const uncertain::UncertainDataset& dataset,
-                      std::span<const double> new_base,
-                      std::span<const uint32_t> point_of,
-                      const DatasetEdit& edit, SwapBase* out);
-
   /// Exact unassigned cost of a one-center swap — location l's distance
   /// to the swapped set is min(base_distances[l], d(l, extra)) — scored
   /// against tables built once by BuildSwapBase and shared across many
@@ -343,7 +293,7 @@ class ExpectedCostEvaluator {
       std::span<const DiscreteDistribution> distributions);
 
   /// Monte-Carlo estimators (alias-table sampling over a precomputed
-  /// per-location distance table; optional thread fan-out per Options).
+  /// per-location distance table; serial, all draws from `rng`).
   Result<MonteCarloEstimate> MonteCarloAssignedCost(
       const uncertain::UncertainDataset& dataset, const Assignment& assignment,
       int64_t samples, Rng& rng);
@@ -355,8 +305,8 @@ class ExpectedCostEvaluator {
   // RAII enforcement of the one-thread-at-a-time contract: marks the
   // evaluator owned by the calling thread for the duration of a public
   // evaluation, CHECK-failing if another thread already holds it.
-  // Reentrant from the owning thread (batch entry points call the
-  // single-set ones).
+  // Reentrant from the owning thread (PatchSwapBase falls back to
+  // BuildSwapBase).
   class ScratchGuard {
    public:
     explicit ScratchGuard(ExpectedCostEvaluator* evaluator);

@@ -68,55 +68,6 @@ Status ParallelCandidateEvaluator::RunTasks(size_t count, const Fn& fn) {
   return Status::OK();
 }
 
-Result<std::vector<double>> ParallelCandidateEvaluator::UnassignedCostBatch(
-    const uncertain::UncertainDataset& dataset,
-    const std::vector<std::vector<metric::SiteId>>& center_sets) {
-  std::vector<double> values(center_sets.size());
-  UKC_RETURN_IF_ERROR(RunTasks(
-      center_sets.size(), [&](int worker, size_t s) -> Status {
-        UKC_ASSIGN_OR_RETURN(
-            values[s], evaluators_[worker].UnassignedCost(dataset, center_sets[s]));
-        return Status::OK();
-      }));
-  return values;
-}
-
-Result<std::vector<double>> ParallelCandidateEvaluator::AssignedCostBatch(
-    const uncertain::UncertainDataset& dataset,
-    const std::vector<Assignment>& assignments) {
-  std::vector<double> values(assignments.size());
-  UKC_RETURN_IF_ERROR(RunTasks(
-      assignments.size(), [&](int worker, size_t a) -> Status {
-        UKC_ASSIGN_OR_RETURN(
-            values[a], evaluators_[worker].AssignedCost(dataset, assignments[a]));
-        return Status::OK();
-      }));
-  return values;
-}
-
-Result<std::vector<MonteCarloEstimate>>
-ParallelCandidateEvaluator::MonteCarloUnassignedCostBatch(
-    const uncertain::UncertainDataset& dataset,
-    const std::vector<std::vector<metric::SiteId>>& center_sets,
-    int64_t samples, Rng& rng) {
-  // Fork every candidate's stream up front on the calling thread, so
-  // the draw for candidate s is a pure function of (seed, s).
-  std::vector<Rng> rngs;
-  rngs.reserve(center_sets.size());
-  for (size_t s = 0; s < center_sets.size(); ++s) {
-    rngs.push_back(rng.Fork(static_cast<uint64_t>(s)));
-  }
-  std::vector<MonteCarloEstimate> estimates(center_sets.size());
-  UKC_RETURN_IF_ERROR(RunTasks(
-      center_sets.size(), [&](int worker, size_t s) -> Status {
-        UKC_ASSIGN_OR_RETURN(estimates[s],
-                             evaluators_[worker].MonteCarloUnassignedCost(
-                                 dataset, center_sets[s], samples, rngs[s]));
-        return Status::OK();
-      }));
-  return estimates;
-}
-
 Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     const uncertain::UncertainDataset& dataset,
     const std::vector<metric::SiteId>& centers,
@@ -396,159 +347,6 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     base_prev_valid_ = true;
   }
   return values;
-}
-
-Status ParallelCandidateEvaluator::ApplyDatasetEdit(
-    const uncertain::UncertainDataset& dataset, const DatasetEdit& edit) {
-  // Poison helper: an inconsistent half-edited cache must read as "no
-  // cache" — the next SwapCostMatrix call then rebuilds from scratch,
-  // which is always correct.
-  const auto drop_cache = [this]() {
-    swap_fingerprint_.reset();
-    base_prev_valid_ = false;
-    location_tree_.reset();
-  };
-  // Without published cached state there is nothing to roll; leave the
-  // (absent) cache alone. base_prev_valid_ going false while the
-  // fingerprint is set cannot happen outside a failed call, which
-  // already poisoned.
-  if (!swap_fingerprint_.has_value() || !base_prev_valid_) return Status::OK();
-  const metric::EuclideanSpace* euclidean = dataset.euclidean();
-  if (euclidean == nullptr || !options_.incremental_rollover) {
-    // The cached state cannot describe this dataset (fingerprints are
-    // Euclidean-only) or rollover is off: reference behavior is a full
-    // rebuild next call.
-    drop_cache();
-    return Status::OK();
-  }
-  const size_t k = cached_centers_.size();
-  const size_t dim = euclidean->dim();
-  const size_t new_total = dataset.total_locations();
-  if (edit.location_end <= edit.location_begin) {
-    return Status::InvalidArgument(
-        "ApplyDatasetEdit: edit location range must be non-empty");
-  }
-  const size_t span = edit.location_end - edit.location_begin;
-  const size_t old_total = edit.is_insert ? new_total - span : new_total + span;
-  if (edit.is_insert) {
-    // The edit must describe the dataset's actual tail.
-    if (edit.point + 1 != dataset.n() ||
-        edit.location_begin != dataset.offsets()[edit.point] ||
-        edit.location_end != new_total) {
-      return Status::InvalidArgument(
-          "ApplyDatasetEdit: insert edit does not match the dataset tail");
-    }
-  } else if (edit.location_end > old_total || edit.point >= dataset.n() + 1) {
-    return Status::InvalidArgument(
-        "ApplyDatasetEdit: delete edit out of the pre-edit range");
-  }
-  if (k == 0 || center_distances_.size() != k * old_total ||
-      base_without_.size() != k * old_total ||
-      cached_center_coords_.size() != k * dim || swap_bases_.size() != k) {
-    // Cached state does not describe the pre-edit instance (e.g. two
-    // edits were applied between calls, or the sizes never matched) —
-    // refuse to guess.
-    drop_cache();
-    return Status::OK();
-  }
-  // Evaluator scratch must cover the grown instance before EditSwapBase
-  // runs (same sizing protocol as SwapCostMatrix).
-  if (dataset.n() > reserved_points_ || new_total > reserved_locations_) {
-    reserved_points_ = std::max(reserved_points_, dataset.n());
-    reserved_locations_ = std::max(reserved_locations_, new_total);
-    for (ExpectedCostEvaluator& evaluator : evaluators_) {
-      evaluator.ReserveScratch(reserved_points_, reserved_locations_);
-    }
-  }
-  const metric::SiteId* sites = dataset.flat_sites().data();
-  const metric::Norm norm = euclidean->norm();
-
-  // 1. Re-stride the k distance rows to the post-edit width. Retained
-  // entries are copied bytes; only the inserted locations run the
-  // kernel — against the CACHED center coordinates, so the rows stay
-  // exactly what a full recompute at those coordinates would produce.
-  {
-    std::vector<double> rows(k * new_total);
-    pool_->ParallelFor(k, [&](int, size_t p) {
-      const double* old_row = center_distances_.data() + p * old_total;
-      double* row = rows.data() + p * new_total;
-      if (edit.is_insert) {
-        std::copy(old_row, old_row + old_total, row);
-        const double* target = cached_center_coords_.data() + p * dim;
-        for (size_t l = edit.location_begin; l < edit.location_end; ++l) {
-          row[l] = metric::NormDistanceKernel(norm, euclidean->coords(sites[l]),
-                                              target, dim);
-        }
-      } else {
-        std::copy(old_row, old_row + edit.location_begin, row);
-        std::copy(old_row + edit.location_end, old_row + old_total,
-                  row + edit.location_begin);
-      }
-    });
-    center_distances_ = std::move(rows);
-  }
-
-  // 2. The same re-stride for the per-position base tables. The
-  // inserted tail is min over the other k-1 rows — min over a set is
-  // order-invariant bitwise (exact in floating point), so these entries
-  // equal what the next call's suffix/prefix recompute produces, and
-  // the bitwise diff there classifies every table as unchanged.
-  {
-    std::vector<double> bases(k * new_total);
-    pool_->ParallelFor(k, [&](int, size_t p) {
-      const double* old_base = base_without_.data() + p * old_total;
-      double* base = bases.data() + p * new_total;
-      if (edit.is_insert) {
-        std::copy(old_base, old_base + old_total, base);
-        for (size_t l = edit.location_begin; l < edit.location_end; ++l) {
-          double best = std::numeric_limits<double>::infinity();
-          for (size_t c = 0; c < k; ++c) {
-            if (c == p) continue;
-            best = std::min(best, center_distances_[c * new_total + l]);
-          }
-          base[l] = best;
-        }
-      } else {
-        std::copy(old_base, old_base + edit.location_begin, base);
-        std::copy(old_base + edit.location_end, old_base + old_total,
-                  base + edit.location_begin);
-      }
-    });
-    base_without_ = std::move(bases);
-  }
-
-  // 3. Location → point map for the post-edit CSR layout.
-  point_of_.resize(new_total);
-  const size_t* offsets = dataset.offsets().data();
-  for (size_t i = 0; i < dataset.n(); ++i) {
-    for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
-      point_of_[l] = static_cast<uint32_t>(i);
-    }
-  }
-
-  // 4. Sparse-edit every position's presorted stream + ladder. A
-  // failure here leaves streams for two different instances side by
-  // side — poison so the next call rebuilds.
-  const Status edited =
-      RunTasks(k, [&](int worker, size_t p) -> Status {
-        return evaluators_[worker].EditSwapBase(
-            dataset,
-            std::span<const double>(base_without_.data() + p * new_total,
-                                    new_total),
-            point_of_, edit, &swap_bases_[p]);
-      });
-  if (!edited.ok()) {
-    drop_cache();
-    return edited;
-  }
-
-  // 5. The kd-tree indexes the pre-edit location set; drop it (the next
-  // call rebuilds it, since the published fingerprint below matches and
-  // the tree-absence path fills all bounds). Publish the POST-edit
-  // fingerprint: the rolled tables now describe exactly this instance.
-  location_tree_.reset();
-  swap_fingerprint_ = DatasetSwapFingerprint(dataset, *euclidean);
-  return Status::OK();
 }
 
 size_t ParallelCandidateEvaluator::SwapLadderBytes() const {

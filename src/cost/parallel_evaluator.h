@@ -3,13 +3,13 @@
 //
 // ExpectedCostEvaluator is mutable scratch and must not be shared
 // across threads; this class owns one evaluator per worker plus a
-// common::ThreadPool and fans candidate center sets (or assignments, or
-// local-search swaps) out across them. Results are written by candidate
-// index into a preallocated buffer, so the output order — and, because
-// each candidate's evaluation is arithmetically identical no matter
-// which worker runs it, every output bit — is independent of the thread
-// count and of scheduling. threads = 1 degenerates to an inline serial
-// loop.
+// common::ThreadPool and fans the one-center swaps of a local-search
+// round (SwapCostMatrix) or caller-defined tasks (ForEachTask) out
+// across them. Results are written by task index into a preallocated
+// buffer, so the output order — and, because each candidate's
+// evaluation is arithmetically identical no matter which worker runs
+// it, every output bit — is independent of the thread count and of
+// scheduling. threads = 1 degenerates to an inline serial loop.
 //
 // The swap API is the local-search fast path: evaluating the k·|pool|
 // one-center swaps of a round naively costs O(k·|pool|·N·k); with the
@@ -30,7 +30,9 @@
 //     fingerprint of the dataset's location data plus the exact center
 //     coordinates, and every table carries an epoch that is CHECKed at
 //     consultation time, so a stale table is a crash, never a wrong
-//     answer.
+//     answer. The tables roll over across center swaps only: a
+//     dataset's points are fixed at Build, and any other dataset
+//     misses the fingerprint and rebuilds every table.
 //   - kd-pruned candidate scans: a BoundedKdTree over the *locations*
 //     with per-position subtree bounds of the base distances lets each
 //     candidate visit only the ~m locations it can possibly improve,
@@ -49,7 +51,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "cost/expected_cost_evaluator.h"
 #include "geometry/bounded_kdtree.h"
@@ -58,8 +59,8 @@
 namespace ukc {
 namespace cost {
 
-/// Scores batches of candidate solutions in parallel with deterministic
-/// (thread-count independent) results. See file comment.
+/// Scores local-search swaps (and caller-defined tasks) in parallel with
+/// deterministic (thread-count independent) results. See file comment.
 class ParallelCandidateEvaluator {
  public:
   struct Options {
@@ -88,26 +89,6 @@ class ParallelCandidateEvaluator {
 
   int threads() const { return pool_->num_threads(); }
 
-  /// Exact unassigned cost of every center set; values[s] corresponds
-  /// to center_sets[s].
-  Result<std::vector<double>> UnassignedCostBatch(
-      const uncertain::UncertainDataset& dataset,
-      const std::vector<std::vector<metric::SiteId>>& center_sets);
-
-  /// Exact assigned cost of every assignment; values[a] corresponds to
-  /// assignments[a].
-  Result<std::vector<double>> AssignedCostBatch(
-      const uncertain::UncertainDataset& dataset,
-      const std::vector<Assignment>& assignments);
-
-  /// Monte-Carlo unassigned estimates, one per center set. Candidate s
-  /// draws from rng.Fork(s) (forked serially up front), so the
-  /// estimates depend only on the seed — not on the thread count.
-  Result<std::vector<MonteCarloEstimate>> MonteCarloUnassignedCostBatch(
-      const uncertain::UncertainDataset& dataset,
-      const std::vector<std::vector<metric::SiteId>>& center_sets,
-      int64_t samples, Rng& rng);
-
   /// Exact unassigned cost of every one-center swap of `centers`:
   /// values[p * pool.size() + c] is the cost of centers with
   /// centers[p] replaced by pool[c]. Per position the base distances
@@ -122,29 +103,6 @@ class ParallelCandidateEvaluator {
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,
       const std::vector<metric::SiteId>& pool);
-
-  /// Churn: rolls the cached SwapCostMatrix state across a SINGLE-POINT
-  /// dataset edit instead of letting the fingerprint miss force a full
-  /// rebuild. Call AFTER mutating the dataset (UncertainDataset::
-  /// AppendPoint / RemovePoint) with `edit` describing the change
-  /// (expected_cost_evaluator.h DatasetEdit). The k distance rows are
-  /// compacted or extended in place (kernel work only for the inserted
-  /// locations, against the CACHED center coordinates), the per-position
-  /// base tables get the matching sparse edit, and each presorted
-  /// stream is rewritten by ExpectedCostEvaluator::EditSwapBase — all
-  /// bitwise identical to a from-scratch rebuild on the post-edit
-  /// instance, which is what makes the next SwapCostMatrix call's
-  /// bitwise diff classify every table as rolled over. The post-edit
-  /// content fingerprint is stamped at the end, so a dataset that was
-  /// edited in any OTHER way still misses the cache and rebuilds.
-  ///
-  /// No-op without published cached state (nothing to roll); on any
-  /// validation or edit failure the cached state is poisoned — never
-  /// left half-edited as apparently valid — and the next call rebuilds.
-  /// The location kd-tree is always dropped (its shape depends on the
-  /// location set); it rebuilds on the next call.
-  Status ApplyDatasetEdit(const uncertain::UncertainDataset& dataset,
-                          const DatasetEdit& edit);
 
   /// Observability for the compacted snapshot ladder: SwapLadderBytes
   /// is the resident snapshot-CDF bytes across the cached swap-base

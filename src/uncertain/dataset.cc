@@ -50,54 +50,6 @@ UncertainDataset::UncertainDataset(std::shared_ptr<metric::MetricSpace> space,
   }
 }
 
-Status UncertainDataset::AppendPoint(const UncertainPoint& point) {
-  if (point.num_locations() == 0) {
-    return Status::InvalidArgument("AppendPoint: point has no locations");
-  }
-  const metric::SiteId num_sites = space_->num_sites();
-  for (const Location& loc : point.locations()) {
-    if (loc.site < 0 || loc.site >= num_sites) {
-      return Status::InvalidArgument(
-          StrFormat("AppendPoint: point references site %d, but the space "
-                    "has %d sites",
-                    loc.site, num_sites));
-    }
-  }
-  for (const Location& loc : point.locations()) {
-    sites_.push_back(loc.site);
-    probabilities_.push_back(loc.probability);
-  }
-  offsets_.push_back(sites_.size());
-  max_locations_ = std::max(max_locations_, point.num_locations());
-  return Status::OK();
-}
-
-Status UncertainDataset::RemovePoint(size_t i) {
-  if (i >= n()) {
-    return Status::InvalidArgument(
-        StrFormat("RemovePoint: point %zu out of range (n=%zu)", i, n()));
-  }
-  if (n() == 1) {
-    return Status::FailedPrecondition(
-        "RemovePoint: the dataset cannot become empty");
-  }
-  const size_t begin = offsets_[i];
-  const size_t end = offsets_[i + 1];
-  const size_t span = end - begin;
-  sites_.erase(sites_.begin() + begin, sites_.begin() + end);
-  probabilities_.erase(probabilities_.begin() + begin,
-                       probabilities_.begin() + end);
-  offsets_.erase(offsets_.begin() + i + 1);
-  for (size_t j = i + 1; j < offsets_.size(); ++j) offsets_[j] -= span;
-  // z is a max over points — removal can lower it, so recompute exactly
-  // (O(n), negligible next to the caller's per-edit cost work).
-  max_locations_ = 0;
-  for (size_t j = 0; j < n(); ++j) {
-    max_locations_ = std::max(max_locations_, offsets_[j + 1] - offsets_[j]);
-  }
-  return Status::OK();
-}
-
 std::vector<metric::SiteId> UncertainDataset::LocationSites() const {
   std::vector<metric::SiteId> sites(sites_.begin(), sites_.end());
   std::sort(sites.begin(), sites.end());

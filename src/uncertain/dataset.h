@@ -7,6 +7,10 @@
 // sampling hot loops stream straight through both arrays with no
 // per-location indirection. UncertainPoint is the *build-time* boundary
 // type only; point(i) hands out an UncertainPointView over the arrays.
+//
+// The points are fixed at Build: a dataset is never edited in place.
+// Churn (appends, deletes, sliding windows) is handled a layer up, by
+// the streaming coreset and the serving tenants.
 
 #ifndef UKC_UNCERTAIN_DATASET_H_
 #define UKC_UNCERTAIN_DATASET_H_
@@ -76,25 +80,6 @@ class UncertainDataset {
 
   /// True iff the space is Euclidean (more precisely, a normed R^d).
   bool is_euclidean() const { return euclidean_ != nullptr; }
-
-  /// Appends one uncertain point at the END of the instance (churn
-  /// insert). Validates the point's sites against the space, then
-  /// extends the flat arrays in place: the new point gets index n()-1
-  /// and the flat location range [old total_locations(), new
-  /// total_locations()) — ids larger than every existing one, which is
-  /// what makes the incremental swap-table merge order-exact (see
-  /// cost/expected_cost_evaluator.h EditSwapBase). Existing views and
-  /// spans are invalidated.
-  Status AppendPoint(const UncertainPoint& point);
-
-  /// Removes point i compactly (churn delete): later points shift down
-  /// by one index, the flat arrays close the gap, and retained
-  /// site/probability values are untouched — so the renumbering of
-  /// retained flat ids is strictly monotone, the property the
-  /// incremental swap-table compaction relies on. The dataset can never
-  /// become empty (kFailedPrecondition). max_locations() is recomputed
-  /// exactly. Existing views and spans are invalidated.
-  Status RemovePoint(size_t i);
 
   /// The deduplicated union of all location sites, sorted ascending.
   /// This is the natural candidate-center set for discrete solvers.

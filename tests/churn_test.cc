@@ -3,25 +3,24 @@
 // full-rebuild reference, EXPECT_EQ on doubles, no tolerance anywhere.
 //
 // The properties under test, in rough order of load-bearing-ness:
-//   1. Cost-layer churn trajectories: randomized insert/delete/solve
-//      sequences through ParallelCandidateEvaluator::ApplyDatasetEdit
-//      produce SwapCostMatrix values bitwise identical to a fresh
-//      full-rebuild evaluator at every round, across d ∈ {1, 2, 3, 8}
-//      and threads ∈ {1, 2, 8} — and the edits actually roll the
-//      cached tables over (the rollover hit counter moves).
-//   2. Coreset churn: Remove leaves the coreset bitwise equal to a
+//   1. Coreset churn: Remove leaves the coreset bitwise equal to a
 //      fresh rebuild of the survivors (levels matched via CoarsenTo);
 //      ExpireBefore is a pure function of the final watermark, so any
 //      call schedule — per point, batched, once at the end — and any
 //      shard/merge split land on identical state.
-//   3. Serve churn: windowed appends are batch-split invariant,
+//   2. Serve churn: windowed appends are batch-split invariant,
 //      replicas acking the same append/delete sequence answer
 //      identically, and the serve.delete / stream.expire fault sites
 //      are all-or-nothing (an errored op leaves the tenant bitwise
 //      untouched).
-//   4. Checkpoint versioning: a v1 sidecar is rejected at load
+//   3. Checkpoint versioning: a v1 sidecar is rejected at load
 //      ("unknown version", never partially interpreted) and the ingest
 //      layer degrades it to a counted full re-ingest.
+//
+// The cost layer has no churn path: an UncertainDataset's points are
+// fixed at Build, and SwapCostMatrix's tables roll over across center
+// swaps only. A changed dataset misses the content fingerprint and
+// rebuilds (incremental_sweep_test DatasetChangeInvalidatesRolledTables).
 
 #include <gtest/gtest.h>
 
@@ -29,7 +28,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,15 +35,11 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "cost/expected_cost_evaluator.h"
-#include "cost/parallel_evaluator.h"
-#include "exper/instances.h"
 #include "metric/euclidean_space.h"
 #include "obs/metrics.h"
 #include "serve/registry.h"
 #include "serve/serve.h"
 #include "serve/tenant.h"
-#include "solver/gonzalez.h"
 #include "stream/checkpoint.h"
 #include "stream/coreset.h"
 #include "stream/ingest.h"
@@ -56,12 +50,9 @@
 namespace ukc {
 namespace {
 
-using metric::SiteId;
 using serve::Tenant;
 using serve::TenantConfig;
 using serve::TenantRegistry;
-
-const int kThreadCounts[] = {1, 2, 8};
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -271,224 +262,6 @@ TEST(CoresetChurnTest, ExpiryIsShardSplitInvariant) {
     ASSERT_TRUE(merged.CoarsenTo(level).ok());
     ExpectCoresetsBitwiseEqual(merged, single);
   }
-}
-
-// --- Cost-layer churn trajectories ------------------------------------------
-
-uncertain::UncertainDataset MakeCostDataset(size_t n, size_t dim, size_t z,
-                                            uint64_t seed) {
-  exper::InstanceSpec spec;
-  spec.family = exper::Family::kClustered;
-  spec.n = n;
-  spec.z = z;
-  spec.dim = dim;
-  spec.k = 4;
-  spec.seed = seed;
-  return std::move(exper::MakeInstance(spec)).value();
-}
-
-cost::ParallelCandidateEvaluator::Options CostOptions(int threads, bool fast) {
-  cost::ParallelCandidateEvaluator::Options options;
-  options.threads = threads;
-  options.incremental_rollover = fast;
-  options.kd_prune = fast;
-  return options;
-}
-
-// Accept the argmin non-identity swap, as in incremental_sweep_test.
-void ApplyBestSwap(const std::vector<double>& values,
-                   const std::vector<SiteId>& pool,
-                   std::vector<SiteId>* centers) {
-  double best_value = std::numeric_limits<double>::infinity();
-  size_t best_position = 0;
-  SiteId best_replacement = metric::kInvalidSite;
-  for (size_t p = 0; p < centers->size(); ++p) {
-    for (size_t c = 0; c < pool.size(); ++c) {
-      if (pool[c] == (*centers)[p]) continue;
-      const double value = values[p * pool.size() + c];
-      if (value < best_value) {
-        best_value = value;
-        best_position = p;
-        best_replacement = pool[c];
-      }
-    }
-  }
-  ASSERT_NE(best_replacement, metric::kInvalidSite);
-  (*centers)[best_position] = best_replacement;
-}
-
-// Mints a fresh uncertain point (new sites) into the dataset's space.
-uncertain::UncertainPoint MakeInsertPoint(metric::EuclideanSpace* space,
-                                          size_t dim, size_t z, Rng& rng) {
-  std::vector<uncertain::Location> locations;
-  const size_t count = 1 + rng.Next() % z;
-  std::vector<double> weights(count);
-  double total = 0.0;
-  for (double& w : weights) {
-    w = rng.UniformDouble(0.1, 1.0);
-    total += w;
-  }
-  std::vector<double> coords(dim);
-  for (size_t l = 0; l < count; ++l) {
-    for (size_t d = 0; d < dim; ++d) {
-      coords[d] = rng.UniformDouble(-10.0, 10.0);
-    }
-    locations.push_back(
-        uncertain::Location{space->AddCoords(coords.data()), weights[l] / total});
-  }
-  return std::move(uncertain::UncertainPoint::Build(std::move(locations)))
-      .value();
-}
-
-// The tentpole property: a randomized insert/delete/solve trajectory
-// through ApplyDatasetEdit matches a fresh full-rebuild evaluator
-// bitwise at every round, across dimensions and thread counts — and
-// the threads=1 fast run is the cross-thread reference.
-TEST(CostChurnTest, ChurnTrajectoriesMatchFullRebuildBitwise) {
-  constexpr size_t kRounds = 6;
-  uint64_t seed = 9000;
-  for (size_t dim : {1u, 2u, 3u, 8u}) {
-    ++seed;
-    std::vector<std::vector<double>> reference_rounds;  // threads=1 run.
-    for (int threads : kThreadCounts) {
-      auto dataset = MakeCostDataset(40, dim, 3, seed);
-      metric::EuclideanSpace* space = dataset.euclidean();
-      ASSERT_NE(space, nullptr);
-      const auto sites = dataset.LocationSites();
-      auto gonzalez = solver::Gonzalez(dataset.space(), sites, 3);
-      ASSERT_TRUE(gonzalez.ok());
-      std::vector<SiteId> centers = gonzalez->centers;
-      std::vector<SiteId> pool;
-      for (size_t i = 0; i < 10; ++i) {
-        pool.push_back(sites[(i * 131) % sites.size()]);
-      }
-      cost::ParallelCandidateEvaluator incremental(CostOptions(threads, true));
-      // Same seed for every thread count: the trajectory (inserted
-      // points, delete victims) must be identical for the cross-thread
-      // comparison to be meaningful.
-      Rng rng(seed * 31);
-      for (size_t round = 0; round < kRounds; ++round) {
-        // Reference: a FRESH evaluator with the incremental paths off —
-        // a from-scratch rebuild on the post-edit dataset every round.
-        cost::ParallelCandidateEvaluator reference(CostOptions(threads, false));
-        auto expected = reference.SwapCostMatrix(dataset, centers, pool);
-        auto actual = incremental.SwapCostMatrix(dataset, centers, pool);
-        ASSERT_TRUE(expected.ok()) << expected.status();
-        ASSERT_TRUE(actual.ok()) << actual.status();
-        ASSERT_EQ(actual->size(), expected->size());
-        for (size_t v = 0; v < expected->size(); ++v) {
-          ASSERT_EQ((*actual)[v], (*expected)[v])
-              << "dim=" << dim << " threads=" << threads
-              << " round=" << round << " swap=" << v;
-        }
-        if (threads == 1) {
-          reference_rounds.push_back(*actual);
-        } else {
-          ASSERT_LT(round, reference_rounds.size());
-          ASSERT_EQ(*actual, reference_rounds[round])
-              << "thread-count variance: dim=" << dim
-              << " threads=" << threads << " round=" << round;
-        }
-        ApplyBestSwap(*actual, pool, &centers);
-
-        // Mutate the dataset: alternate inserts and deletes so the
-        // instance keeps churning without shrinking away.
-        cost::DatasetEdit edit;
-        if (round % 2 == 0) {
-          const auto point = MakeInsertPoint(space, dim, 3, rng);
-          edit.is_insert = true;
-          edit.point = static_cast<uint32_t>(dataset.n());
-          edit.location_begin = dataset.total_locations();
-          edit.location_end = edit.location_begin + point.num_locations();
-          ASSERT_TRUE(dataset.AppendPoint(point).ok());
-        } else {
-          const size_t victim = rng.Next() % dataset.n();
-          edit.is_insert = false;
-          edit.point = static_cast<uint32_t>(victim);
-          edit.location_begin = dataset.offsets()[victim];
-          edit.location_end = dataset.offsets()[victim + 1];
-          ASSERT_TRUE(dataset.RemovePoint(victim).ok());
-        }
-        ASSERT_TRUE(incremental.ApplyDatasetEdit(dataset, edit).ok());
-      }
-    }
-  }
-}
-
-// White-box: ApplyDatasetEdit must actually roll the cache over — the
-// next SwapCostMatrix call is a rollover HIT, not a rebuild miss.
-TEST(CostChurnTest, AppliedEditKeepsTheRolloverCacheHot) {
-  auto dataset = MakeCostDataset(30, 2, 2, 4242);
-  metric::EuclideanSpace* space = dataset.euclidean();
-  ASSERT_NE(space, nullptr);
-  const auto sites = dataset.LocationSites();
-  auto gonzalez = solver::Gonzalez(dataset.space(), sites, 3);
-  ASSERT_TRUE(gonzalez.ok());
-  std::vector<SiteId> pool(sites.begin(), sites.begin() + 8);
-  obs::Counter* hits = obs::MetricsRegistry::Default().GetCounter(
-      "ukc_swap_rollover_total", "Swap-table rollover checks by outcome",
-      {{"outcome", "hit"}});
-  cost::ParallelCandidateEvaluator evaluator(CostOptions(1, true));
-  ASSERT_TRUE(
-      evaluator.SwapCostMatrix(dataset, gonzalez->centers, pool).ok());
-
-  Rng rng(5);
-  const auto point = MakeInsertPoint(space, 2, 2, rng);
-  cost::DatasetEdit edit;
-  edit.is_insert = true;
-  edit.point = static_cast<uint32_t>(dataset.n());
-  edit.location_begin = dataset.total_locations();
-  edit.location_end = edit.location_begin + point.num_locations();
-  ASSERT_TRUE(dataset.AppendPoint(point).ok());
-  ASSERT_TRUE(evaluator.ApplyDatasetEdit(dataset, edit).ok());
-
-  const uint64_t hits_before = hits->Value();
-  ASSERT_TRUE(
-      evaluator.SwapCostMatrix(dataset, gonzalez->centers, pool).ok());
-  EXPECT_EQ(hits->Value(), hits_before + 1)
-      << "the edited dataset missed the rollover cache";
-}
-
-// An edit against an evaluator with no published state is a no-op, and
-// a dataset changed in any OTHER way than the declared edit still
-// invalidates the cache (the post-edit fingerprint only matches the
-// dataset the edit produced).
-TEST(CostChurnTest, EditWithoutStateIsANoOpAndForeignChangesStillMiss) {
-  auto dataset = MakeCostDataset(25, 2, 2, 777);
-  metric::EuclideanSpace* space = dataset.euclidean();
-  ASSERT_NE(space, nullptr);
-  const auto sites = dataset.LocationSites();
-  auto gonzalez = solver::Gonzalez(dataset.space(), sites, 3);
-  ASSERT_TRUE(gonzalez.ok());
-  std::vector<SiteId> pool(sites.begin(), sites.begin() + 8);
-
-  // No prior SwapCostMatrix: nothing to roll, and the later call works.
-  cost::ParallelCandidateEvaluator cold(CostOptions(1, true));
-  Rng rng(6);
-  const auto point = MakeInsertPoint(space, 2, 2, rng);
-  cost::DatasetEdit edit;
-  edit.is_insert = true;
-  edit.point = static_cast<uint32_t>(dataset.n());
-  edit.location_begin = dataset.total_locations();
-  edit.location_end = edit.location_begin + point.num_locations();
-  ASSERT_TRUE(dataset.AppendPoint(point).ok());
-  ASSERT_TRUE(cold.ApplyDatasetEdit(dataset, edit).ok());
-  auto cold_result = cold.SwapCostMatrix(dataset, gonzalez->centers, pool);
-  ASSERT_TRUE(cold_result.ok()) << cold_result.status();
-
-  // Warm the cache, then mutate WITHOUT declaring the edit: the next
-  // call must agree with a fresh evaluator (fingerprint miss, full
-  // rebuild), not serve stale rolled tables.
-  cost::ParallelCandidateEvaluator warm(CostOptions(1, true));
-  ASSERT_TRUE(warm.SwapCostMatrix(dataset, gonzalez->centers, pool).ok());
-  const size_t victim = 3;
-  ASSERT_TRUE(dataset.RemovePoint(victim).ok());
-  cost::ParallelCandidateEvaluator fresh(CostOptions(1, false));
-  auto expected = fresh.SwapCostMatrix(dataset, gonzalez->centers, pool);
-  auto actual = warm.SwapCostMatrix(dataset, gonzalez->centers, pool);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  ASSERT_TRUE(actual.ok()) << actual.status();
-  EXPECT_EQ(*actual, *expected);
 }
 
 // --- Serve churn ------------------------------------------------------------

@@ -46,35 +46,6 @@ TEST(RunningStatsTest, StdError) {
   EXPECT_NEAR(stats.StdError(), stats.StdDev() / 10.0, 1e-12);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats all;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    all.Add(x);
-    (i < 20 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-12);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.Min(), all.Min());
-  EXPECT_DOUBLE_EQ(left.Max(), all.Max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats stats;
-  stats.Add(1.0);
-  stats.Add(3.0);
-  RunningStats empty;
-  stats.Merge(empty);
-  EXPECT_EQ(stats.count(), 2);
-  empty.Merge(stats);
-  EXPECT_EQ(empty.count(), 2);
-  EXPECT_DOUBLE_EQ(empty.Mean(), 2.0);
-}
-
 // --- KahanSum ---
 
 TEST(KahanSumTest, CompensatesSmallTerms) {

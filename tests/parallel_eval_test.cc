@@ -1,10 +1,10 @@
 // Determinism tests for the parallel candidate-evaluation pipeline:
-// batch results must be *bitwise* identical to serial results for every
-// thread count, for both the exact and Monte-Carlo paths. Each
-// candidate's evaluation is arithmetically identical no matter which
-// worker runs it (per-worker evaluators are pure scratch; Monte-Carlo
-// streams are forked by candidate index), so EXPECT_EQ on doubles is
-// the right assertion — any tolerance would hide a scheduling leak.
+// SwapCostMatrix results must be *bitwise* identical for every thread
+// count. Each candidate's evaluation is arithmetically identical no
+// matter which worker runs it (per-worker evaluators are pure scratch),
+// so EXPECT_EQ on doubles is the right assertion — any tolerance would
+// hide a scheduling leak. ForEachTask's error contract (first error in
+// task order) is pinned the same way.
 //
 // Also covers the ThreadPool itself (full coverage of the index space,
 // worker ids in range) and the thread-count invariance of the routed
@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -46,20 +48,6 @@ uncertain::UncertainDataset MakeDataset(size_t n, uint64_t seed,
   return std::move(exper::MakeInstance(spec)).value();
 }
 
-// Some candidate center sets around a Gonzalez seed, local-search style.
-std::vector<std::vector<SiteId>> MakeCenterSets(
-    const uncertain::UncertainDataset& dataset, size_t count) {
-  const auto sites = dataset.LocationSites();
-  auto seed = solver::Gonzalez(dataset.space(), sites, 4);
-  std::vector<std::vector<SiteId>> center_sets;
-  for (size_t s = 0; s < count; ++s) {
-    auto centers = seed->centers;
-    centers[s % centers.size()] = sites[(s * 131) % sites.size()];
-    center_sets.push_back(std::move(centers));
-  }
-  return center_sets;
-}
-
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
@@ -88,91 +76,32 @@ TEST(ThreadPoolTest, ReusableAcrossJobs) {
   pool.ParallelFor(0, [](int, size_t) { FAIL(); });  // Empty job is a no-op.
 }
 
-TEST(ParallelEvaluatorTest, ExactBatchBitwiseMatchesSerial) {
-  const auto dataset = MakeDataset(150, 7);
-  const auto center_sets = MakeCenterSets(dataset, 24);
-
-  cost::ExpectedCostEvaluator serial;
-  std::vector<double> reference;
-  for (const auto& centers : center_sets) {
-    reference.push_back(*serial.UnassignedCost(dataset, centers));
-  }
-
+// RunTasks' contract, through the public ForEachTask hook: every task
+// runs, and the first error in TASK order comes back, whichever worker
+// finished first. Task 2 sleeps so that task 5 usually fails first on
+// the multi-threaded pools.
+TEST(ParallelEvaluatorTest, ForEachTaskReturnsFirstErrorInTaskOrder) {
+  constexpr size_t kTasks = 16;
   for (int threads : kThreadCounts) {
     cost::ParallelCandidateEvaluator::Options options;
     options.threads = threads;
     cost::ParallelCandidateEvaluator parallel(options);
-    auto values = parallel.UnassignedCostBatch(dataset, center_sets);
-    ASSERT_TRUE(values.ok()) << values.status();
-    ASSERT_EQ(values->size(), reference.size());
-    for (size_t s = 0; s < reference.size(); ++s) {
-      EXPECT_EQ((*values)[s], reference[s])
-          << "threads=" << threads << " set=" << s;
-    }
-  }
-}
-
-TEST(ParallelEvaluatorTest, AssignedBatchBitwiseMatchesSerial) {
-  const auto dataset = MakeDataset(120, 9);
-  const auto sites = dataset.LocationSites();
-  std::vector<cost::Assignment> assignments;
-  for (uint64_t variant = 0; variant < 12; ++variant) {
-    cost::Assignment assignment(dataset.n());
-    for (size_t i = 0; i < dataset.n(); ++i) {
-      assignment[i] = sites[(i * 7 + variant * 13) % sites.size()];
-    }
-    assignments.push_back(std::move(assignment));
-  }
-
-  cost::ExpectedCostEvaluator serial;
-  std::vector<double> reference;
-  for (const auto& assignment : assignments) {
-    reference.push_back(*serial.AssignedCost(dataset, assignment));
-  }
-
-  for (int threads : kThreadCounts) {
-    cost::ParallelCandidateEvaluator::Options options;
-    options.threads = threads;
-    cost::ParallelCandidateEvaluator parallel(options);
-    auto values = parallel.AssignedCostBatch(dataset, assignments);
-    ASSERT_TRUE(values.ok()) << values.status();
-    for (size_t a = 0; a < reference.size(); ++a) {
-      EXPECT_EQ((*values)[a], reference[a])
-          << "threads=" << threads << " assignment=" << a;
-    }
-  }
-}
-
-TEST(ParallelEvaluatorTest, MonteCarloBatchIsThreadCountInvariant) {
-  const auto dataset = MakeDataset(60, 11);
-  const auto center_sets = MakeCenterSets(dataset, 8);
-  constexpr int64_t kSamples = 5000;
-
-  std::vector<cost::MonteCarloEstimate> reference;
-  for (int threads : kThreadCounts) {
-    cost::ParallelCandidateEvaluator::Options options;
-    options.threads = threads;
-    cost::ParallelCandidateEvaluator parallel(options);
-    Rng rng(123);  // Fresh identical stream per thread count.
-    auto estimates = parallel.MonteCarloUnassignedCostBatch(dataset, center_sets,
-                                                            kSamples, rng);
-    ASSERT_TRUE(estimates.ok()) << estimates.status();
-    if (reference.empty()) {
-      reference = *estimates;
-      // Sanity: the estimates agree with the exact sweep.
-      cost::ExpectedCostEvaluator exact;
-      for (size_t s = 0; s < center_sets.size(); ++s) {
-        const double truth = *exact.UnassignedCost(dataset, center_sets[s]);
-        EXPECT_NEAR(reference[s].mean, truth,
-                    6.0 * reference[s].std_error + 1e-9);
-      }
-      continue;
-    }
-    for (size_t s = 0; s < reference.size(); ++s) {
-      EXPECT_EQ((*estimates)[s].mean, reference[s].mean)
-          << "threads=" << threads << " set=" << s;
-      EXPECT_EQ((*estimates)[s].std_error, reference[s].std_error);
-      EXPECT_EQ((*estimates)[s].samples, reference[s].samples);
+    std::vector<std::atomic<int>> runs(kTasks);
+    const Status status = parallel.ForEachTask(
+        kTasks, [&](cost::ExpectedCostEvaluator&, size_t task) -> Status {
+          runs[task].fetch_add(1);
+          if (task == 2) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            return Status::Internal("task 2 failed");
+          }
+          if (task == 5) return Status::InvalidArgument("task 5 failed");
+          return Status::OK();
+        });
+    EXPECT_EQ(status, Status::Internal("task 2 failed"))
+        << "threads=" << threads << " got " << status.ToString();
+    for (size_t task = 0; task < kTasks; ++task) {
+      EXPECT_EQ(runs[task].load(), 1) << "threads=" << threads
+                                      << " task=" << task;
     }
   }
 }
@@ -233,8 +162,7 @@ TEST(ParallelEvaluatorTest, SwapCostMatrixMatchesFullEvaluation) {
 TEST(ParallelEvaluatorTest, PropagatesErrors) {
   const auto dataset = MakeDataset(20, 17);
   cost::ParallelCandidateEvaluator parallel;
-  std::vector<std::vector<SiteId>> center_sets = {{0}, {-1}, {0}};
-  EXPECT_FALSE(parallel.UnassignedCostBatch(dataset, center_sets).ok());
+  EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0, -1}, {0}).ok());
   EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {}, {0}).ok());
   EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0}, {}).ok());
 }

@@ -6,9 +6,9 @@
 //    events[deepest.index, rung.index)) must be bitwise identical to
 //    the full 7-rung reference, including on swap matrices whose
 //    candidates force escalations;
-//  * small candidate batches and single-stale-table swap rounds on a
-//    large dataset shard over the per-worker evaluators and must match
-//    a fresh ExpectedCostEvaluator (the oracle) at every thread count.
+//  * a single-stale-table swap round on a large dataset shards over
+//    the per-worker evaluators and must match a fresh from-scratch
+//    build (the oracle) at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -210,31 +210,14 @@ TEST(SwapLadderTest, LadderMemoryDropsAtLeast3x) {
       << "full=" << full_bytes << " compact=" << compact_bytes;
 }
 
-// Routing above 32768 events: every batch shards over the per-worker
-// evaluators, so one- and two-candidate batches must equal a fresh
-// evaluator bit for bit, and a one-swap round at k = 2 — whose only
-// stale table is the position that does not hold the swapped center —
-// must score identically at every thread count and match a
+// A one-swap round at k = 2 on a dataset above 32768 events — whose
+// only stale table is the position that does not hold the swapped
+// center — must score identically at every thread count and match a
 // from-scratch build.
-TEST(SwapLadderTest, SmallBatchesAndSingleStaleRoundMatchOracle) {
+TEST(SwapLadderTest, SingleStaleRoundMatchesFreshBuild) {
   const auto dataset = MakeDataset(9000, 2, 4, 77);  // 36000 locations.
   ASSERT_GE(dataset.total_locations(), 32768u);
   const auto sites = dataset.LocationSites();
-  const auto centers = SomeCenters(dataset, 8);
-  std::vector<SiteId> moved = centers;
-  moved[3] = sites[sites.size() / 2];
-  const std::vector<std::vector<SiteId>> center_sets = {centers, moved};
-  const std::vector<cost::Assignment> assignments = {
-      cost::Assignment(dataset.n(), centers[0]),
-      cost::Assignment(dataset.n(), centers[5])};
-  std::vector<double> want_unassigned;
-  std::vector<double> want_assigned;
-  for (size_t s = 0; s < 2; ++s) {
-    cost::ExpectedCostEvaluator oracle;
-    want_unassigned.push_back(*oracle.UnassignedCost(dataset, center_sets[s]));
-    want_assigned.push_back(*oracle.AssignedCost(dataset, assignments[s]));
-  }
-
   const auto pair = SomeCenters(dataset, 2);
   std::vector<SiteId> pool;
   for (size_t i = 0; i < 6; ++i) {
@@ -251,23 +234,6 @@ TEST(SwapLadderTest, SmallBatchesAndSingleStaleRoundMatchOracle) {
 
   for (int threads : kThreadCounts) {
     cost::ParallelCandidateEvaluator parallel(LadderOptions(threads, true));
-    for (size_t count : {1u, 2u}) {
-      const std::vector<std::vector<SiteId>> sets(center_sets.begin(),
-                                                  center_sets.begin() + count);
-      const std::vector<cost::Assignment> batch(assignments.begin(),
-                                                assignments.begin() + count);
-      const auto unassigned = *parallel.UnassignedCostBatch(dataset, sets);
-      const auto assigned = *parallel.AssignedCostBatch(dataset, batch);
-      ASSERT_EQ(unassigned.size(), count);
-      ASSERT_EQ(assigned.size(), count);
-      for (size_t s = 0; s < count; ++s) {
-        EXPECT_EQ(want_unassigned[s], unassigned[s])
-            << "threads=" << threads << " count=" << count << " set " << s;
-        EXPECT_EQ(want_assigned[s], assigned[s])
-            << "threads=" << threads << " count=" << count << " set " << s;
-      }
-    }
-
     ASSERT_TRUE(parallel.SwapCostMatrix(dataset, pair, pool).ok());
     const auto got_round = *parallel.SwapCostMatrix(dataset, swapped, pool);
     ASSERT_EQ(want_round.size(), got_round.size());
