@@ -1,6 +1,5 @@
-// Shared glue for the table/figure reproduction binaries: standard
-// header printing and the ratio-measurement loops used by several
-// benches.
+// Shared glue for the table1_row* reproduction binaries: standard
+// header printing and the ratio-measurement loops they share.
 
 #ifndef UKC_BENCH_BENCH_COMMON_H_
 #define UKC_BENCH_BENCH_COMMON_H_
@@ -104,13 +103,6 @@ inline Result<RatioSample> MeasureAgainstLowerBound(
                      : 1.0;
   return sample;
 }
-
-/// Aggregates samples into "mean (max)" strings and asserts the claim.
-struct RatioAggregate {
-  RunningStats stats;
-  double claimed = 0.0;
-  bool WithinClaim() const { return stats.Max() <= claimed + 1e-9; }
-};
 
 }  // namespace bench
 }  // namespace ukc

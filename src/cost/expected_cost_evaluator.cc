@@ -325,7 +325,7 @@ Status ExpectedCostEvaluator::FillUnassignedEvents(
     // winner: IEEE sqrt is monotone and correctly rounded, so
     // min_c sqrt(s_c) == sqrt(min_c s_c) bit for bit — identical to
     // the per-center-sqrt scan at one sqrt per location instead of k
-    // (the single-core win on BM_ExactSweep* at n >= 1e5).
+    // (e2ebench cost.seed_eval_s / cost.final_eval_s @solve run it).
     const size_t dim = euclidean->dim();
     euclidean->GatherCoords(centers, &center_coords_);
     const double* center_block = center_coords_.data();

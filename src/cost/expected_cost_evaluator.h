@@ -70,14 +70,13 @@ namespace cost {
 using DiscreteDistribution = std::vector<std::pair<double, double>>;
 
 /// Center-set size at which the unassigned-cost evaluation switches
-/// from the linear center scan to a kd-tree over the centers (L2 only).
-/// Picked from bench/micro_bench.cc BM_UnassignedCostLinear /
-/// BM_UnassignedCostKdTree on the 2-d clustered family (n = 4000): the
-/// flat linear scan (contiguous gathered block, unrolled kernel) wins
-/// through k = 32 (1.79 ms vs 2.02 ms), the tree wins from k = 48
-/// (2.27 ms vs 2.40 ms) and pulls away after; the crossover sits near
-/// k = 40.
-inline constexpr size_t kDefaultKdTreeCutover = 40;
+/// from the linear center scan to a kd-tree over the centers (L2 only):
+/// the smallest k from which bench/micro_bench.cc BM_UnassignedCostKdTree
+/// beats BM_UnassignedCostLinear at n = 4000 and n = 1e5 (2-d clustered,
+/// z = 4; BENCH_micro.json medians, linear vs tree): k = 64 4.11 vs 4.33
+/// and 117.9 vs 139.0 ms, k = 96 5.66 vs 5.11 and 130.3 vs 129.3 ms,
+/// k = 128 6.94 vs 5.05 and 173.2 vs 129.6 ms.
+inline constexpr size_t kDefaultKdTreeCutover = 96;
 
 /// A Monte-Carlo estimate with its standard error.
 struct MonteCarloEstimate {
@@ -120,7 +119,8 @@ class ExpectedCostEvaluator {
     /// that lands on an intermediate rung re-derives its CDF once per
     /// candidate by replaying events[deepest.index, rung.index) —
     /// bitwise identical to the stored rung. false keeps all
-    /// kSwapLadderRungs CDFs resident (the reference ladder).
+    /// kSwapLadderRungs CDFs resident (the reference ladder). Bytes and
+    /// time of both: micro_bench BM_SwapLadderCompact / BM_SwapLadderFull.
     bool compact_swap_ladder = true;
   };
 

@@ -109,8 +109,7 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
   // tables behind as apparently valid.
   ++swap_epoch_;
   std::optional<uint64_t> fingerprint;
-  if (euclidean != nullptr &&
-      (options_.incremental_rollover || options_.kd_prune)) {
+  if (euclidean != nullptr && !options_.reference_swap_paths) {
     fingerprint = DatasetSwapFingerprint(dataset, *euclidean);
   }
   const bool cache_hit = fingerprint.has_value() &&
@@ -132,7 +131,7 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
   }
   if (!cache_hit) location_tree_.reset();
   const bool have_tables =
-      cache_hit && options_.incremental_rollover && base_prev_valid_ &&
+      cache_hit && base_prev_valid_ &&
       cached_centers_.size() == k && cached_center_coords_.size() == k * dim &&
       center_distances_.size() == k * total &&
       base_without_.size() == k * total && swap_bases_.size() == k;
@@ -266,7 +265,7 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
   // candidate scans. The tree is a pure function of the location
   // coordinates (rebuilt only on a fingerprint miss); the bound rows
   // follow their position's base table.
-  const bool prune = options_.kd_prune && euclidean != nullptr;
+  const bool prune = !options_.reference_swap_paths && euclidean != nullptr;
   bool fill_all_bounds = false;
   if (prune) {
     if (!location_tree_.has_value()) {

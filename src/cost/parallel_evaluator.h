@@ -38,7 +38,7 @@
 //     candidate visit only the ~m locations it can possibly improve,
 //     instead of all N (ExpectedCostEvaluator::UnassignedCostSwapPruned).
 // Both paths are bitwise identical to the full rebuild + full O(N)
-// scan, which remain available via Options as the reference path
+// scan, which remain available via Options::reference_swap_paths
 // (asserted by tests/incremental_sweep_test.cc across thread counts,
 // dimensions, and multi-round trajectories).
 
@@ -72,15 +72,13 @@ class ParallelCandidateEvaluator {
     ThreadPool* pool = nullptr;
     /// Per-worker evaluator configuration.
     ExpectedCostEvaluator::Options evaluator;
-    /// Roll SwapCostMatrix base tables across calls when the dataset is
-    /// unchanged and at most one center differs (bitwise identical to a
-    /// full rebuild; Euclidean datasets only). Off = the reference
-    /// full-rebuild path.
-    bool incremental_rollover = true;
-    /// Prune each swap candidate's distance pass with the location
-    /// kd-tree (bitwise identical to the full O(N) scan; Euclidean
-    /// datasets only). Off = the reference full-scan path.
-    bool kd_prune = true;
+    /// Score SwapCostMatrix through the reference paths: rebuild every
+    /// base table on every call and scan all N locations per candidate.
+    /// false (the default) rolls the tables over across calls and
+    /// prunes each candidate's scan with the location kd-tree (Euclidean
+    /// datasets only; bitwise identical either way). The gap is
+    /// micro_bench BM_SwapSweepRebuildRounds vs BM_SwapSweepIncremental.
+    bool reference_swap_paths = false;
   };
 
   /// Default options: hardware thread count, default evaluator config.

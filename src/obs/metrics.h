@@ -1,8 +1,8 @@
 // Process-wide observability: a metrics registry of counters, gauges
 // and fixed-bucket latency histograms, exported as Prometheus text or
 // JSON. This is the "which tenant is slow, which stage is hot, how
-// often do retries fire" layer for a live process — the online
-// counterpart of the offline BENCH_micro.json numbers.
+// often do retries fire" layer for a live process; e2ebench's traced
+// per-layer rows are read from it.
 //
 // Design stance, mirroring the repo's determinism discipline:
 //

@@ -60,8 +60,7 @@ cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads,
                                                            bool fast) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.incremental_rollover = fast;
-  options.kd_prune = fast;
+  options.reference_swap_paths = !fast;
   return options;
 }
 
