@@ -73,9 +73,9 @@ using DiscreteDistribution = std::vector<std::pair<double, double>>;
 /// from the linear center scan to a kd-tree over the centers (L2 only):
 /// the smallest k from which bench/micro_bench.cc BM_UnassignedCostKdTree
 /// beats BM_UnassignedCostLinear at n = 4000 and n = 1e5 (2-d clustered,
-/// z = 4; BENCH_micro.json medians, linear vs tree): k = 64 4.11 vs 4.33
-/// and 117.9 vs 139.0 ms, k = 96 5.66 vs 5.11 and 130.3 vs 129.3 ms,
-/// k = 128 6.94 vs 5.05 and 173.2 vs 129.6 ms.
+/// z = 4; BENCH_micro.json medians, linear vs tree): k = 64 3.93 vs 4.03
+/// and 143.7 vs 134.3 ms, k = 96 5.90 vs 4.72 and 189.3 vs 129.1 ms,
+/// k = 128 8.67 vs 5.28 and 222.2 vs 139.5 ms.
 inline constexpr size_t kDefaultKdTreeCutover = 96;
 
 /// A Monte-Carlo estimate with its standard error.

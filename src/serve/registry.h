@@ -65,7 +65,7 @@ struct RegistryOptions {
   /// deterministic counter; the first query is always measured). Every
   /// query is still COUNTED by outcome — sampling only amortizes the
   /// two TSC reads of the measurement, which would otherwise triple
-  /// the ~40 ns cached-centers hit (micro_bench
+  /// the ~80 ns cached-centers hit (micro_bench
   /// BM_ServeCentersQueryCached). 1 = measure every query (tests
   /// that assert on the latency series use this); 0 normalizes to 1.
   uint32_t latency_sample_every = 16;
