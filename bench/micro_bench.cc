@@ -132,7 +132,10 @@ void SwapSweepRounds(benchmark::State& state, bool reference_swap_paths) {
 void BM_SwapSweepRebuildRounds(benchmark::State& state) {
   SwapSweepRounds(state, /*reference_swap_paths=*/true);
 }
-BENCHMARK(BM_SwapSweepRebuildRounds)->Arg(10000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SwapSweepRebuildRounds)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SwapSweepIncremental(benchmark::State& state) {
   SwapSweepRounds(state, /*reference_swap_paths=*/false);
@@ -143,7 +146,8 @@ BENCHMARK(BM_SwapSweepIncremental)
     ->Unit(benchmark::kMillisecond);
 
 // Two rounds with the snapshot ladder compacted or full: wall time,
-// resident ladder bytes, total swap-base bytes, and the registry's
+// resident ladder bytes, total swap-base bytes, everything the engine
+// keeps between rounds (swap_state_bytes), and the registry's
 // escalation / replayed-event counts per iteration.
 void SwapLadderRounds(benchmark::State& state, bool compact) {
   cost::ParallelCandidateEvaluator::Options options;
@@ -163,6 +167,8 @@ void SwapLadderRounds(benchmark::State& state, bool compact) {
       static_cast<double>(parallel.SwapLadderBytes());
   state.counters["swap_base_bytes"] =
       static_cast<double>(parallel.SwapBaseMemoryBytes());
+  state.counters["swap_state_bytes"] =
+      static_cast<double>(parallel.SwapStateBytes());
   state.counters["escalations"] = per_iteration("ukc_ladder_escalations_total");
   state.counters["replayed_events"] =
       per_iteration("ukc_ladder_replayed_events_total");

@@ -134,12 +134,16 @@ Result<UnassignedSolution> LocalSearchUnassigned(
       std::numeric_limits<size_t>::max();
   parallel_options.evaluator.deadline = options.deadline;
   cost::ParallelCandidateEvaluator parallel(parallel_options);
-  cost::ExpectedCostEvaluator::Options scalar_options;
-  scalar_options.kdtree_cutover = std::numeric_limits<size_t>::max();
-  scalar_options.deadline = options.deadline;
-  cost::ExpectedCostEvaluator evaluator(scalar_options);
-  UKC_ASSIGN_OR_RETURN(solution.expected_cost,
-                       evaluator.UnassignedCost(*dataset, solution.centers));
+  {
+    // Scoped so its event and radix scratch (~2 events per location)
+    // is freed before the swap rounds build their tables.
+    cost::ExpectedCostEvaluator::Options scalar_options;
+    scalar_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+    scalar_options.deadline = options.deadline;
+    cost::ExpectedCostEvaluator evaluator(scalar_options);
+    UKC_ASSIGN_OR_RETURN(solution.expected_cost,
+                         evaluator.UnassignedCost(*dataset, solution.centers));
+  }
 
   for (size_t round = 0; round < options.max_swaps; ++round) {
     UKC_RETURN_IF_ERROR(

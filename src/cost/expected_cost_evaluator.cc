@@ -110,18 +110,19 @@ struct CdfProduct {
 
 }  // namespace
 
-void ExpectedCostEvaluator::SortEventsByValue() {
-  const size_t count = events_.size();
+const std::vector<ExpectedCostEvaluator::Event>&
+ExpectedCostEvaluator::SortEventsByValue(std::vector<Event>* events) {
+  const size_t count = events->size();
   if (count < kRadixSortCutover) {
     // The (value, location) tiebreak spells out what the stable radix
     // below does implicitly (every fill writes ascending locations), so
     // the two regimes produce one permutation.
-    std::sort(events_.begin(), events_.end(),
+    std::sort(events->begin(), events->end(),
               [](const Event& a, const Event& b) {
                 return a.value != b.value ? a.value < b.value
                                           : a.location < b.location;
               });
-    return;
+    return *events;
   }
   // LSD radix, 4 passes of 16 bits over the order-preserving key. One
   // histogram pass, then per-digit scatters ping-ponging between the
@@ -132,13 +133,13 @@ void ExpectedCostEvaluator::SortEventsByValue() {
   constexpr size_t kBuckets = 65536;
   events_scratch_.resize(count);
   radix_counts_.assign(kPasses * kBuckets, 0);
-  for (const Event& event : events_) {
+  for (const Event& event : *events) {
     const uint64_t key = OrderedBits(event.value);
     for (int p = 0; p < kPasses; ++p) {
       ++radix_counts_[p * kBuckets + ((key >> (16 * p)) & 0xFFFF)];
     }
   }
-  Event* src = events_.data();
+  Event* src = events->data();
   Event* dst = events_scratch_.data();
   bool swapped = false;
   for (int p = 0; p < kPasses; ++p) {
@@ -158,12 +159,14 @@ void ExpectedCostEvaluator::SortEventsByValue() {
     std::swap(src, dst);
     swapped = !swapped;
   }
-  if (swapped) events_.swap(events_scratch_);
+  // An odd number of scatters leaves the order in the scratch twin.
+  // The buffers never trade places, so neither one's capacity moves.
+  return swapped ? events_scratch_ : *events;
 }
 
 double ExpectedCostEvaluator::SweepEvents(size_t num_variables) {
   UKC_CHECK_GT(num_variables, 0u);
-  SortEventsByValue();
+  const std::vector<Event>& events = SortEventsByValue(&events_);
   cdf_.assign(num_variables, 0.0);
 
   // Sweep the value axis maintaining F_i (per-variable CDF) and the
@@ -172,13 +175,13 @@ double ExpectedCostEvaluator::SweepEvents(size_t num_variables) {
   KahanSum expectation;
   double previous_cdf_product = 0.0;  // P(max <= previous value).
 
-  const size_t count = events_.size();
+  const size_t count = events.size();
   size_t e = 0;
   while (e < count) {
-    const double value = events_[e].value;
+    const double value = events[e].value;
     // Apply every event at this exact value.
-    while (e < count && events_[e].value == value) {
-      const Event& event = events_[e];
+    while (e < count && events[e].value == value) {
+      const Event& event = events[e];
       const double old_cdf = cdf_[event.index];
       const double new_cdf = old_cdf + event.probability;
       cdf_[event.index] = new_cdf;
@@ -396,79 +399,73 @@ Status ExpectedCostEvaluator::BuildSwapBase(
   CheckScratchReservation();
 
   // Sorted (value, location) base event stream, filled in ascending
-  // location order as SortEventsByValue requires.
-  events_.clear();
-  events_.reserve(total);
+  // location order as SortEventsByValue requires and sorted where it
+  // lives.
+  out->events.resize(total);
   for (size_t l = 0; l < total; ++l) {
-    events_.push_back(Event{base_distances[l], point_of[l],
-                            static_cast<uint32_t>(l), probabilities[l]});
+    out->events[l] = Event{base_distances[l], point_of[l],
+                           static_cast<uint32_t>(l), probabilities[l]};
   }
-  SortEventsByValue();
-  out->events.assign(events_.begin(), events_.end());
+  const std::vector<Event>& sorted = SortEventsByValue(&out->events);
+  if (&sorted != &out->events) {
+    std::copy(sorted.begin(), sorted.end(), out->events.begin());
+  }
   FinishSwapBase(dataset, base_distances, out);
   return Status::OK();
 }
 
 Status ExpectedCostEvaluator::PatchSwapBase(
     const uncertain::UncertainDataset& dataset,
-    std::span<const double> old_base, std::span<const double> new_base,
+    std::span<const double> new_base, std::span<const uint32_t> changed,
     std::span<const uint32_t> point_of, SwapBase* out) {
   ScratchGuard guard(this);
   UKC_CHECK(out != nullptr);
   const size_t total = dataset.total_locations();
-  if (old_base.size() != total || new_base.size() != total ||
-      point_of.size() != total || out->events.size() != total) {
+  if (new_base.size() != total || point_of.size() != total ||
+      out->events.size() != total) {
     return Status::InvalidArgument(
         "PatchSwapBase: table sizes must equal total_locations");
+  }
+  for (size_t j = 0; j < changed.size(); ++j) {
+    if (changed[j] >= total || (j > 0 && changed[j] <= changed[j - 1])) {
+      return Status::InvalidArgument(
+          "PatchSwapBase: changed locations must be strictly ascending ids");
+    }
   }
   const double* probabilities = dataset.flat_probabilities().data();
   CheckScratchReservation();
 
-  // Replacement entries, in ascending location order, then sorted into
-  // the exact (value, location) order the full sort produces; the stamp
-  // mask marks their locations for the compaction pass.
+  // Replacement entries, sorted into the exact (value, location) order
+  // the full sort produces; the stamp mask marks their locations for
+  // the compaction pass.
   BeginChangedCollection(dataset);
-  for (size_t l = 0; l < total; ++l) {
-    if (old_base[l] != new_base[l]) {
-      changed_.emplace_back(new_base[l], static_cast<uint32_t>(l));
-      changed_stamp_[l] = stamp_;
-    }
-  }
-  if (changed_.size() > total / 8) {
-    // Patching beats the radix rebuild only while the edit is sparse:
-    // sorting the replacements is O(changed log changed) against the
-    // radix's O(N). Past ~N/8 the rebuild wins — take it.
-    return BuildSwapBase(dataset, new_base, point_of, out);
+  for (uint32_t l : changed) {
+    changed_.emplace_back(new_base[l], l);
+    changed_stamp_[l] = stamp_;
   }
   std::sort(changed_.begin(), changed_.end());
 
-  // One merge pass: surviving old entries (already in order) against
-  // the sorted replacements.
-  events_.clear();
-  events_.reserve(total);
-  for (const Event& event : out->events) {
-    if (changed_stamp_[event.location] != stamp_) events_.push_back(event);
+  // Compact the surviving entries (already in order) to the front of
+  // the stream, then merge the replacements in from the back: the
+  // write slot never overtakes an unread kept entry, so no second
+  // buffer is needed.
+  std::vector<Event>& events = out->events;
+  size_t a = 0;
+  for (size_t e = 0; e < total; ++e) {
+    if (changed_stamp_[events[e].location] != stamp_) events[a++] = events[e];
   }
-  events_scratch_.resize(total);
-  size_t a = 0;  // events_ (kept).
-  size_t b = 0;  // changed_ (replacements).
-  for (size_t slot = 0; slot < total; ++slot) {
-    const bool take_kept =
-        b >= changed_.size() ||
-        (a < events_.size() &&
-         (events_[a].value != changed_[b].first
-              ? events_[a].value < changed_[b].first
-              : events_[a].location < changed_[b].second));
-    if (take_kept) {
-      events_scratch_[slot] = events_[a++];
+  size_t b = changed_.size();
+  size_t slot = total;
+  while (b > 0) {
+    const auto [value, l] = changed_[b - 1];
+    if (a > 0 && (events[a - 1].value != value ? events[a - 1].value > value
+                                               : events[a - 1].location > l)) {
+      events[--slot] = events[--a];
     } else {
-      const uint32_t l = changed_[b].second;
-      events_scratch_[slot] = Event{changed_[b].first, point_of[l], l,
-                                    probabilities[l]};
-      ++b;
+      events[--slot] = Event{value, point_of[l], l, probabilities[l]};
+      --b;
     }
   }
-  out->events.assign(events_scratch_.begin(), events_scratch_.end());
   FinishSwapBase(dataset, new_base, out);
   return Status::OK();
 }
@@ -669,6 +666,16 @@ double ExpectedCostEvaluator::MergeSweepFrom(
       if (mass > 0.0) expectation.Add(value * mass);
       previous_cdf_product = cdf_product;
     }
+  }
+  {
+    // Every base entry from a_begin (skipped ones included) plus every
+    // changed event: a pure function of the candidate, unlike the
+    // rung re-derivations the per-worker cache shares.
+    static obs::Counter* const walked =
+        obs::MetricsRegistry::Default().GetCounter(
+            "ukc_swap_tail_events_total",
+            "Base and changed events walked by swap tail merges");
+    walked->Add(total - a_begin + changed_count);
   }
   return expectation.Total();
 }
@@ -1067,7 +1074,6 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
 
 void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
   ScratchGuard guard(this);
-  events_.reserve(total_locations);
   events_scratch_.reserve(total_locations);
   cdf_.reserve(n);
   changed_.reserve(total_locations);
@@ -1080,9 +1086,6 @@ void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
 
 void ExpectedCostEvaluator::CheckScratchReservation() const {
   if (scratch_reservation_ == 0) return;
-  UKC_CHECK_GE(events_.capacity(), scratch_reservation_)
-      << "ExpectedCostEvaluator: event scratch shrank below its "
-         "ReserveScratch reservation mid-trajectory";
   UKC_CHECK_GE(events_scratch_.capacity(), scratch_reservation_)
       << "ExpectedCostEvaluator: radix scratch shrank below its "
          "ReserveScratch reservation mid-trajectory";

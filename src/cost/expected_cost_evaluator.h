@@ -139,12 +139,14 @@ class ExpectedCostEvaluator {
   Result<double> UnassignedCost(const uncertain::UncertainDataset& dataset,
                                 const std::vector<metric::SiteId>& centers);
 
-  /// Pre-reserves every sweep/swap scratch buffer for a dataset with
-  /// `n` points and `total_locations` locations (the dataset header),
-  /// so repeated SwapCostMatrix rounds never reallocate mid-trajectory.
-  /// Also arms the no-shrink contract: once reserved, every subsequent
-  /// swap-base build CHECKs that the scratch capacity has not dropped
-  /// below the reservation.
+  /// Pre-reserves the swap-path scratch (radix ping-pong buffer, CDFs,
+  /// candidate collections, ladder workspace) for a dataset with `n`
+  /// points and `total_locations` locations (the dataset header), so
+  /// repeated SwapCostMatrix rounds never reallocate mid-trajectory.
+  /// The scalar evaluations' event buffer is not reserved: the swap
+  /// path never touches it. Also arms the no-shrink contract: once
+  /// reserved, every subsequent swap-base build CHECKs that the scratch
+  /// capacity has not dropped below the reservation.
   void ReserveScratch(size_t n, size_t total_locations);
 
   /// The armed reservation (events), 0 when ReserveScratch was never
@@ -229,24 +231,28 @@ class ExpectedCostEvaluator {
 
   /// Builds the presorted base tables for UnassignedCostSwapPresorted
   /// from base_distances[l] (distance of flat location l to the
-  /// unchanged centers) and point_of[l]. Uses this evaluator's radix
-  /// scratch; the result is shareable read-only across threads.
+  /// unchanged centers) and point_of[l]. The stream is radix-sorted in
+  /// place in out->events (this evaluator's radix scratch is the
+  /// ping-pong buffer); the result is shareable read-only across
+  /// threads.
   Status BuildSwapBase(const uncertain::UncertainDataset& dataset,
                        std::span<const double> base_distances,
                        std::span<const uint32_t> point_of, SwapBase* out);
 
-  /// Rebuilds `out` — previously built against old_base — for new_base
-  /// by PATCHING the sorted stream: entries of locations whose base
-  /// value changed are dropped in one compaction pass and re-merged at
-  /// their new values, then the ladder snapshots are re-swept. Bitwise
-  /// identical to BuildSwapBase(new_base, ...) (the stream is re-formed
-  /// in the exact (value, location) order the full sort produces) at
-  /// O(N + changed·log changed) instead of a fresh radix sort — the
-  /// incremental-rollover path for the k−1 base tables a one-center
-  /// swap perturbs.
+  /// Rebuilds `out` for new_base by PATCHING its sorted stream, where
+  /// `changed` lists (strictly ascending) every location whose base
+  /// value differs from the one `out` was built with: their entries are
+  /// compacted out of out->events in place and the sorted replacements
+  /// are merged back from the end, then the ladder snapshots are
+  /// re-swept. Bitwise identical to BuildSwapBase(new_base, ...) (the
+  /// stream is re-formed in the exact (value, location) order the full
+  /// sort produces) at O(N + changed·log changed) instead of a fresh
+  /// radix sort — the incremental-rollover path for the k−1 base
+  /// tables a one-center swap perturbs. A `changed` list that misses a
+  /// changed location is a caller bug the result does not detect.
   Status PatchSwapBase(const uncertain::UncertainDataset& dataset,
-                       std::span<const double> old_base,
                        std::span<const double> new_base,
+                       std::span<const uint32_t> changed,
                        std::span<const uint32_t> point_of, SwapBase* out);
 
   /// Exact unassigned cost of a one-center swap — location l's distance
@@ -321,12 +327,16 @@ class ExpectedCostEvaluator {
   Status FillUnassignedEvents(const uncertain::UncertainDataset& dataset,
                               const std::vector<metric::SiteId>& centers);
 
-  // Sorts events_ ascending by (value, location): LSD radix over the
-  // order-preserving bit transform of the key for large inputs (the
-  // sweep's former std::sort bottleneck), std::sort below the cutover.
-  // Every event fill writes ascending locations, so the stable radix
-  // and the tie-spelled std::sort produce the same permutation.
-  void SortEventsByValue();
+  // Sorts *events (events_ or a swap base's stream) ascending by
+  // (value, location): LSD radix over the order-preserving bit
+  // transform of the key for large inputs (the sweep's former
+  // std::sort bottleneck), with events_scratch_ as the ping-pong
+  // buffer; std::sort below the cutover. Returns the buffer holding
+  // the sorted events: *events, or events_scratch_ after an odd number
+  // of radix scatters. Every event fill writes ascending locations, so
+  // the stable radix and the tie-spelled std::sort produce the same
+  // permutation.
+  const std::vector<Event>& SortEventsByValue(std::vector<Event>* events);
 
   // The no-shrink tripwire armed by ReserveScratch: a swap-base build
   // whose scratch capacity dropped below the reservation means
@@ -382,7 +392,8 @@ class ExpectedCostEvaluator {
   // Merge-sweeps base.events[a_begin..) (entries stamped in
   // changed_stamp_ skipped) against `changed` (ascending (value, l)),
   // starting from the given sweep state. cdf_ must already hold the
-  // matching per-point CDFs.
+  // matching per-point CDFs. Counts the events it walks in
+  // ukc_swap_tail_events_total.
   double MergeSweepFrom(const uncertain::UncertainDataset& dataset,
                         const SwapBase& base, size_t a_begin,
                         std::span<const std::pair<double, uint32_t>> changed,
@@ -407,7 +418,8 @@ class ExpectedCostEvaluator {
   std::atomic<std::thread::id> owner_{std::thread::id()};
   int owner_depth_ = 0;
 
-  // Exact-sweep scratch.
+  // Exact-sweep scratch. events_ backs the scalar evaluations only;
+  // swap bases sort in their own stream.
   std::vector<Event> events_;
   std::vector<Event> events_scratch_;   // Radix-sort ping-pong buffer.
   std::vector<uint32_t> radix_counts_;  // Radix-sort histograms.

@@ -1,7 +1,6 @@
 #include "cost/parallel_evaluator.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/hash.h"
@@ -130,105 +129,52 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     (cache_hit ? rollover_hits : rollover_misses)->Increment();
   }
   if (!cache_hit) location_tree_.reset();
-  const bool have_tables =
-      cache_hit && base_prev_valid_ &&
-      cached_centers_.size() == k && cached_center_coords_.size() == k * dim &&
-      center_distances_.size() == k * total &&
-      base_without_.size() == k * total && swap_bases_.size() == k;
-  std::vector<uint8_t> row_valid(k, 0);
-  if (have_tables) {
-    for (size_t p = 0; p < k; ++p) {
-      row_valid[p] =
-          centers[p] == cached_centers_[p] &&
-          std::memcmp(euclidean->coords(centers[p]),
-                      cached_center_coords_.data() + p * dim,
-                      dim * sizeof(double)) == 0;
-    }
-  }
+  const bool have_tables = cache_hit && tables_valid_ &&
+                           base_without_.size() == k * total &&
+                           swap_bases_.size() == k;
   swap_fingerprint_.reset();
-  base_prev_valid_ = false;
+  tables_valid_ = false;
 
-  // 1. Distance of every location to every current center, one row per
-  // center (the rows parallelize independently). Rollover: a row whose
-  // center id and coordinates are unchanged since the previous call is
-  // kept — on a one-swap round only the replaced center's row is
-  // recomputed (O(N) kernels instead of O(kN)).
-  center_distances_.resize(k * total);
-  std::vector<size_t> stale_rows;
-  for (size_t p = 0; p < k; ++p) {
-    if (!row_valid[p]) stale_rows.push_back(p);
-  }
-  pool_->ParallelFor(stale_rows.size(), [&](int, size_t index) {
-    const size_t c = stale_rows[index];
-    double* row = center_distances_.data() + c * total;
-    if (euclidean != nullptr) {
-      const metric::Norm norm = euclidean->norm();
-      const double* target = euclidean->coords(centers[c]);
-      for (size_t l = 0; l < total; ++l) {
-        row[l] = metric::NormDistanceKernel(norm, euclidean->coords(sites[l]),
-                                            target, dim);
+  // 1. Nearest center (d1, owner) and the minimum over every other
+  // position (d2) of each location, in parallel over location blocks,
+  // written by index. Scanning positions in order with a strict `<`
+  // makes owner the first nearest position, so a tie leaves d2 == d1.
+  d1_.resize(total);
+  d2_.resize(total);
+  owner_.resize(total);
+  std::vector<double> center_coords;
+  if (euclidean != nullptr) euclidean->GatherCoords(centers, &center_coords);
+  constexpr size_t kBlock = 8192;
+  const metric::Norm norm =
+      euclidean != nullptr ? euclidean->norm() : metric::Norm::kL2;
+  pool_->ParallelFor((total + kBlock - 1) / kBlock, [&](int, size_t block) {
+    const size_t end = std::min(total, (block + 1) * kBlock);
+    for (size_t l = block * kBlock; l < end; ++l) {
+      const double* from =
+          euclidean != nullptr ? euclidean->coords(sites[l]) : nullptr;
+      double d1 = std::numeric_limits<double>::infinity();
+      double d2 = std::numeric_limits<double>::infinity();
+      uint32_t owner = 0;
+      for (size_t p = 0; p < k; ++p) {
+        const double d =
+            from != nullptr
+                ? metric::NormDistanceKernel(
+                      norm, from, center_coords.data() + p * dim, dim)
+                : space.Distance(sites[l], centers[p]);
+        if (d < d1) {
+          d2 = d1;
+          d1 = d;
+          owner = static_cast<uint32_t>(p);
+        } else if (d < d2) {
+          d2 = d;
+        }
       }
-    } else {
-      for (size_t l = 0; l < total; ++l) {
-        row[l] = space.Distance(sites[l], centers[c]);
-      }
+      d1_[l] = d1;
+      d2_[l] = d2;
+      owner_[l] = owner;
     }
   });
 
-  // 2. base_without_[p][l] = min over c != p of the distance rows,
-  // via a backward suffix pass plus a rolling forward prefix. The
-  // previous round's tables move into base_prev_ for the bitwise diff
-  // below (min over unchanged inputs is exact, so a recomputed table is
-  // bit-equal whenever its inputs are).
-  std::swap(base_without_, base_prev_);
-  base_without_.resize(k * total);
-  suffix_min_.assign((k + 1) * total, std::numeric_limits<double>::infinity());
-  for (size_t p = k; p-- > 0;) {
-    const double* row = center_distances_.data() + p * total;
-    const double* next = suffix_min_.data() + (p + 1) * total;
-    double* out = suffix_min_.data() + p * total;
-    for (size_t l = 0; l < total; ++l) out[l] = std::min(row[l], next[l]);
-  }
-  {
-    std::vector<double> prefix(total, std::numeric_limits<double>::infinity());
-    for (size_t p = 0; p < k; ++p) {
-      const double* after = suffix_min_.data() + (p + 1) * total;
-      double* out = base_without_.data() + p * total;
-      for (size_t l = 0; l < total; ++l) {
-        out[l] = std::min(prefix[l], after[l]);
-      }
-      const double* row = center_distances_.data() + p * total;
-      for (size_t l = 0; l < total; ++l) {
-        prefix[l] = std::min(prefix[l], row[l]);
-      }
-    }
-  }
-
-  // Positions whose base table changed bitwise need their presorted
-  // stream + snapshot (and kd bounds) rebuilt; the rest roll over. On a
-  // one-swap round the swapped position's own table — the only one
-  // excluding the replaced center — always survives the diff. A table
-  // is epoch-stamped exactly where its validity is established: here
-  // for a bitwise-unchanged rollover, below after a successful rebuild
-  // — so a position that slipped through both is caught by the
-  // consultation CHECK.
-  std::vector<size_t> stale_tables;
-  for (size_t p = 0; p < k; ++p) {
-    const bool unchanged =
-        have_tables &&
-        std::memcmp(base_without_.data() + p * total,
-                    base_prev_.data() + p * total,
-                    total * sizeof(double)) == 0;
-    if (unchanged) {
-      swap_bases_[p].epoch = swap_epoch_;
-    } else {
-      stale_tables.push_back(p);
-    }
-  }
-
-  // 3. Presort the stale positions' base distances into sequential
-  // event streams, shared read-only by all of that position's
-  // candidates (the per-worker evaluators supply the radix scratch).
   point_of_.resize(total);
   const size_t* offsets = dataset.offsets().data();
   for (size_t i = 0; i < dataset.n(); ++i) {
@@ -236,30 +182,74 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
       point_of_[l] = static_cast<uint32_t>(i);
     }
   }
+
+  // 2. Per position: rewrite base_without_[p] in place, diffing it
+  // against last round's row, then bring the presorted event stream +
+  // snapshots (shared read-only by that position's candidates) up to
+  // date — kept when no location changed, patched with the changed
+  // locations, or rebuilt. Patching beats the radix rebuild only while
+  // the edit is sparse: sorting the replacements is O(changed log
+  // changed) against the radix's O(N); past N/8 the rebuild wins. A
+  // table is epoch-stamped exactly where its validity is established,
+  // so a position that slipped through is caught by the consultation
+  // CHECK.
+  enum Outcome : uint8_t { kKept, kPatched, kRebuilt };
+  const size_t patch_limit = total / 8;
+  base_without_.resize(k * total);
   swap_bases_.resize(k);
-  const auto build_table = [&](ExpectedCostEvaluator& evaluator,
-                               size_t p) -> Status {
-    const std::span<const double> new_row(base_without_.data() + p * total,
-                                          total);
-    if (have_tables) {
-      // The previous round's table is valid for the old row: patch
-      // the sorted stream instead of re-sorting from scratch
-      // (bitwise identical — see PatchSwapBase).
-      UKC_RETURN_IF_ERROR(evaluator.PatchSwapBase(
-          dataset,
-          std::span<const double>(base_prev_.data() + p * total, total),
-          new_row, point_of_, &swap_bases_[p]));
-    } else {
-      UKC_RETURN_IF_ERROR(evaluator.BuildSwapBase(
-          dataset, new_row, point_of_, &swap_bases_[p]));
+  changed_locations_.resize(evaluators_.size());
+  std::vector<Outcome> outcomes(k);
+  UKC_RETURN_IF_ERROR(RunTasks(k, [&](int worker, size_t p) -> Status {
+    std::vector<uint32_t>& changed = changed_locations_[worker];
+    changed.clear();
+    changed.reserve(patch_limit);
+    bool rebuild = !have_tables;
+    const uint32_t position = static_cast<uint32_t>(p);
+    double* row = base_without_.data() + p * total;
+    for (size_t l = 0; l < total; ++l) {
+      const double value = owner_[l] == position ? d2_[l] : d1_[l];
+      if (!rebuild && value != row[l]) {
+        if (changed.size() == patch_limit) {
+          rebuild = true;
+        } else {
+          changed.push_back(static_cast<uint32_t>(l));
+        }
+      }
+      row[l] = value;
     }
-    swap_bases_[p].epoch = swap_epoch_;  // Freshly rebuilt: validated.
+    const std::span<const double> new_row(row, total);
+    if (rebuild) {
+      outcomes[p] = kRebuilt;
+      UKC_RETURN_IF_ERROR(evaluators_[worker].BuildSwapBase(
+          dataset, new_row, point_of_, &swap_bases_[p]));
+    } else if (!changed.empty()) {
+      outcomes[p] = kPatched;
+      UKC_RETURN_IF_ERROR(evaluators_[worker].PatchSwapBase(
+          dataset, new_row, changed, point_of_, &swap_bases_[p]));
+    } else {
+      outcomes[p] = kKept;
+    }
+    swap_bases_[p].epoch = swap_epoch_;
     return Status::OK();
-  };
-  UKC_RETURN_IF_ERROR(
-      RunTasks(stale_tables.size(), [&](int worker, size_t index) -> Status {
-        return build_table(evaluators_[worker], stale_tables[index]);
-      }));
+  }));
+  std::vector<size_t> stale_tables;
+  {
+    static obs::Counter* const table_outcomes[] = {
+        obs::MetricsRegistry::Default().GetCounter(
+            "ukc_swap_tables_total", "Swap base tables by rollover outcome",
+            {{"outcome", "kept"}}),
+        obs::MetricsRegistry::Default().GetCounter(
+            "ukc_swap_tables_total", "Swap base tables by rollover outcome",
+            {{"outcome", "patched"}}),
+        obs::MetricsRegistry::Default().GetCounter(
+            "ukc_swap_tables_total", "Swap base tables by rollover outcome",
+            {{"outcome", "rebuilt"}}),
+    };
+    for (size_t p = 0; p < k; ++p) {
+      table_outcomes[outcomes[p]]->Increment();
+      if (outcomes[p] != kKept) stale_tables.push_back(p);
+    }
+  }
 
   // Location kd-tree + per-position subtree maxima for the pruned
   // candidate scans. The tree is a pure function of the location
@@ -303,7 +293,7 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
     }
   }
 
-  // 4. One task per (position, candidate) pair. With pruning each costs
+  // 3. One task per (position, candidate) pair. With pruning each costs
   // ~m kernel distances (the locations the candidate can improve) plus
   // the tail replay; the reference path pays one kernel distance per
   // location. Every consulted table's epoch is CHECKed against this
@@ -337,13 +327,7 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
   // Success: publish this round's state for the next call to roll from.
   if (fingerprint.has_value()) {
     swap_fingerprint_ = fingerprint;
-    cached_centers_ = centers;
-    cached_center_coords_.resize(k * dim);
-    for (size_t p = 0; p < k; ++p) {
-      const double* src = euclidean->coords(centers[p]);
-      std::copy(src, src + dim, cached_center_coords_.data() + p * dim);
-    }
-    base_prev_valid_ = true;
+    tables_valid_ = true;
   }
   return values;
 }
@@ -365,6 +349,14 @@ size_t ParallelCandidateEvaluator::SwapBaseMemoryBytes() const {
     bytes += base.deep_first.capacity() * sizeof(double);
   }
   return bytes;
+}
+
+size_t ParallelCandidateEvaluator::SwapStateBytes() const {
+  return SwapBaseMemoryBytes() +
+         sizeof(double) * (base_without_.capacity() +
+                           node_base_max_.capacity() + d1_.capacity() +
+                           d2_.capacity()) +
+         sizeof(uint32_t) * (owner_.capacity() + point_of_.capacity());
 }
 
 Status ParallelCandidateEvaluator::ForEachTask(

@@ -12,27 +12,33 @@
 // scheduling. threads = 1 degenerates to an inline serial loop.
 //
 // The swap API is the local-search fast path: evaluating the k·|pool|
-// one-center swaps of a round naively costs O(k·|pool|·N·k); with the
-// per-position "distance to the other k-1 centers" tables built here it
-// is O(k·N·k + k·|pool|·N) — each swapped set costs one kernel distance
-// per location instead of k. min() is exact in floating point, so the
-// swap values are bitwise identical to full linear-path evaluations.
+// one-center swaps of a round naively costs O(k·|pool|·N·k). Here every
+// location's nearest center (distance d1, position owner) and the
+// minimum over every other position (d2) are computed once per call,
+// O(k·N) kernels, and position p's "all centers but p" base distance is
+// d2 where owner == p and d1 elsewhere — the closest / second-closest
+// bookkeeping of Whitaker's fast interchange. Each swapped set then
+// costs one kernel distance per location instead of k. min() is exact
+// in floating point, so the swap values are bitwise identical to full
+// linear-path evaluations.
 //
 // On top of that, SwapCostMatrix is an *incremental engine* across
 // local-search rounds (Euclidean datasets):
-//   - Rollover: local search replaces one center per round, so of the k
-//     per-center distance rows only the replaced one is recomputed; the
-//     per-position base tables (prefix/suffix mins, presorted event
-//     streams, sweep snapshots) are rebuilt only where the new row
-//     actually changed them bitwise — the swapped position's own table
-//     (which excludes the replaced center) always survives. Validity is
+//   - Rollover: each position's base row is rewritten in place from
+//     d1 / d2 / owner and diffed against last round's as it is
+//     written. A bitwise-unchanged row keeps its presorted event
+//     stream and sweep snapshots; a row with at most N/8 changed
+//     locations patches its stream with just those locations; any
+//     other row rebuilds it (counted in ukc_swap_tables_total). On a
+//     one-swap round the swapped position's own row — the only one
+//     excluding the replaced center — always survives. Validity is
 //     enforced, not assumed: the cached tables are keyed by a
-//     fingerprint of the dataset's location data plus the exact center
-//     coordinates, and every table carries an epoch that is CHECKed at
-//     consultation time, so a stale table is a crash, never a wrong
-//     answer. The tables roll over across center swaps only: a
-//     dataset's points are fixed at Build, and any other dataset
-//     misses the fingerprint and rebuilds every table.
+//     fingerprint of the dataset's location data, and every table
+//     carries an epoch that is CHECKed at consultation time, so a stale
+//     table is a crash, never a wrong answer. The tables roll over
+//     across center swaps only: a dataset's points are fixed at Build,
+//     and any other dataset misses the fingerprint and rebuilds every
+//     table.
 //   - kd-pruned candidate scans: a BoundedKdTree over the *locations*
 //     with per-position subtree bounds of the base distances lets each
 //     candidate visit only the ~m locations it can possibly improve,
@@ -41,6 +47,10 @@
 // scan, which remain available via Options::reference_swap_paths
 // (asserted by tests/incremental_sweep_test.cc across thread counts,
 // dimensions, and multi-round trajectories).
+//
+// Memory: the k base rows, the k bound rows and the k event streams
+// are the O(k·N) state (SwapStateBytes); d1 / d2 / owner and the
+// location → point map add O(N).
 
 #ifndef UKC_COST_PARALLEL_EVALUATOR_H_
 #define UKC_COST_PARALLEL_EVALUATOR_H_
@@ -96,7 +106,9 @@ class ParallelCandidateEvaluator {
   /// fresh O(N log N) evaluation. Values agree with a full linear-path
   /// evaluation of the swapped set to rounding (identical value order;
   /// tied events may apply in a different order) and are bitwise
-  /// identical across thread counts. Scratch is O(k · total_locations).
+  /// identical across thread counts. Resident state is k base rows, k
+  /// kd bound rows and k sorted event streams of total_locations
+  /// entries each, plus three location arrays (SwapStateBytes).
   Result<std::vector<double>> SwapCostMatrix(
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,
@@ -110,6 +122,10 @@ class ParallelCandidateEvaluator {
   /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
   size_t SwapLadderBytes() const;
   size_t SwapBaseMemoryBytes() const;
+  /// Everything SwapCostMatrix keeps between calls: the base and kd
+  /// bound rows, d1 / d2 / owner, the location → point map and
+  /// SwapBaseMemoryBytes (capacities, in bytes).
+  size_t SwapStateBytes() const;
 
   /// Generic sharding hook: runs fn(evaluator, task) for every task in
   /// [0, count) over the worker pool, handing each invocation the
@@ -139,28 +155,32 @@ class ParallelCandidateEvaluator {
   size_t reserved_points_ = 0;
   size_t reserved_locations_ = 0;
 
-  // SwapCostMatrix scratch, reused across rounds: per-center distance
-  // rows, the per-position "all centers but p" base tables, their
-  // presorted event streams, and the location → point map.
-  std::vector<double> center_distances_;  // k rows of total_locations.
-  std::vector<double> suffix_min_;        // Rolling suffix mins.
+  // SwapCostMatrix state, reused across rounds. Per location: the
+  // distance to its nearest center (d1_), that center's position
+  // (owner_) and the minimum over every other position (d2_; +inf when
+  // k = 1), recomputed every call. Per position: the "all centers but
+  // p" base row (d2 where owner == p, else d1) and its presorted event
+  // stream with sweep snapshots.
+  std::vector<double> d1_;
+  std::vector<double> d2_;
+  std::vector<uint32_t> owner_;
   std::vector<double> base_without_;      // k rows of total_locations.
   std::vector<ExpectedCostEvaluator::SwapBase> swap_bases_;
   std::vector<uint32_t> point_of_;        // Location → owning point.
+  // Per worker: the locations whose base value changed while one row
+  // was rewritten (at most total_locations / 8, the patch limit).
+  std::vector<std::vector<uint32_t>> changed_locations_;
 
-  // Incremental-rollover state. The cached rows/tables describe the
-  // instance identified by swap_fingerprint_ (a content hash of the
-  // dataset's location data — NOT the dataset's address, which a
-  // rebuilt dataset could reuse) evaluated at cached_centers_ with the
-  // exact coordinates in cached_center_coords_; anything that fails to
-  // match is rebuilt. swap_epoch_ advances every SwapCostMatrix call
-  // and every table's epoch must equal it at consultation (CHECK).
+  // Incremental-rollover state. The rows/tables describe the instance
+  // identified by swap_fingerprint_ (a content hash of the dataset's
+  // location data — NOT the dataset's address, which a rebuilt dataset
+  // could reuse); a fingerprint miss rebuilds everything. tables_valid_
+  // says the last call completed, so every base row matches its table.
+  // swap_epoch_ advances every SwapCostMatrix call and every table's
+  // epoch must equal it at consultation (CHECK).
   uint64_t swap_epoch_ = 0;
   std::optional<uint64_t> swap_fingerprint_;
-  std::vector<metric::SiteId> cached_centers_;
-  std::vector<double> cached_center_coords_;  // k rows of dim.
-  std::vector<double> base_prev_;             // Last round's base_without_.
-  bool base_prev_valid_ = false;
+  bool tables_valid_ = false;
 
   // kd-pruned scan state: the location tree (rebuilt only when the
   // fingerprint changes) and per-position subtree maxima of the base

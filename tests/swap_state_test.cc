@@ -1,0 +1,376 @@
+// The swap engine's per-location state (cost/parallel_evaluator.h):
+// nearest distance d1, its position owner and the second-nearest d2
+// stand in for k per-center distance rows. This suite pins what that
+// bookkeeping must keep:
+//  * the registry counts it emits — per-table rollover outcomes
+//    (ukc_swap_tables_total) and tail-merge events
+//    (ukc_swap_tail_events_total) — are pure functions of the
+//    trajectory, equal at every thread count;
+//  * its memory is linear in the number of locations with no k×N
+//    double array beyond the base and bound rows;
+//  * the degenerate shapes of the d1 / d2 split — one center, two
+//    centers at the same coordinates, a candidate cloning a center —
+//    and streams patched across exactly tied distances score bitwise
+//    like the reference paths and to rounding like a fresh
+//    UnassignedCost of the swapped set.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "cost/expected_cost_evaluator.h"
+#include "cost/parallel_evaluator.h"
+#include "exper/instances.h"
+#include "metric/euclidean_space.h"
+#include "obs/metrics.h"
+#include "solver/gonzalez.h"
+#include "uncertain/dataset.h"
+#include "uncertain/uncertain_point.h"
+
+namespace ukc {
+namespace {
+
+using metric::SiteId;
+
+const int kThreadCounts[] = {1, 2, 8};
+
+uncertain::UncertainDataset MakeDataset(size_t n, size_t z, uint64_t seed,
+                                        exper::Family family =
+                                            exper::Family::kClustered) {
+  exper::InstanceSpec spec;
+  spec.family = family;
+  spec.n = n;
+  spec.z = z;
+  spec.dim = 2;
+  spec.k = 4;
+  spec.seed = seed;
+  return std::move(exper::MakeInstance(spec)).value();
+}
+
+cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads,
+                                                           bool fast) {
+  cost::ParallelCandidateEvaluator::Options options;
+  options.threads = threads;
+  options.reference_swap_paths = !fast;
+  return options;
+}
+
+// The argmin non-identity swap, accepted unconditionally so every round
+// rolls the tables over.
+void ApplyBestSwap(const std::vector<double>& values,
+                   const std::vector<SiteId>& pool,
+                   std::vector<SiteId>* centers) {
+  double best_value = std::numeric_limits<double>::infinity();
+  size_t best_position = 0;
+  SiteId best_replacement = metric::kInvalidSite;
+  for (size_t p = 0; p < centers->size(); ++p) {
+    for (size_t c = 0; c < pool.size(); ++c) {
+      if (pool[c] == (*centers)[p]) continue;
+      const double value = values[p * pool.size() + c];
+      if (value < best_value) {
+        best_value = value;
+        best_position = p;
+        best_replacement = pool[c];
+      }
+    }
+  }
+  ASSERT_NE(best_replacement, metric::kInvalidSite);
+  (*centers)[best_position] = best_replacement;
+}
+
+uint64_t CounterDelta(const obs::RegistrySnapshot& before,
+                      const obs::RegistrySnapshot& after, const char* name,
+                      obs::LabelList labels = {}) {
+  const auto value = [&](const obs::RegistrySnapshot& snapshot) -> uint64_t {
+    if (labels.empty()) return snapshot.CounterTotal(name);
+    const obs::MetricSnapshot* metric = snapshot.Find(name, labels);
+    return metric == nullptr ? 0 : metric->counter_value;
+  };
+  return value(after) - value(before);
+}
+
+struct TrajectoryCounts {
+  uint64_t kept = 0;
+  uint64_t patched = 0;
+  uint64_t rebuilt = 0;
+  uint64_t tail_events = 0;
+  std::vector<std::vector<double>> rounds;
+};
+
+// A fixed fast-path trajectory: `rounds` SwapCostMatrix calls from the
+// Gonzalez seed, with the registry deltas of the whole run (gtest runs
+// this binary's tests one at a time, so the deltas are this run's).
+TrajectoryCounts RunTrajectory(const uncertain::UncertainDataset& dataset,
+                               size_t k, size_t rounds, int threads) {
+  const auto sites = dataset.LocationSites();
+  std::vector<SiteId> centers =
+      std::move(solver::Gonzalez(dataset.space(), sites, k)).value().centers;
+  std::vector<SiteId> pool;
+  for (size_t i = 0; i < 24; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::RegistrySnapshot before = registry.Snapshot();
+  cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads, true));
+  TrajectoryCounts counts;
+  for (size_t round = 0; round < rounds; ++round) {
+    auto values = parallel.SwapCostMatrix(dataset, centers, pool);
+    EXPECT_TRUE(values.ok()) << values.status();
+    if (!values.ok()) return counts;
+    ApplyBestSwap(*values, pool, &centers);
+    counts.rounds.push_back(std::move(values).value());
+  }
+  const obs::RegistrySnapshot after = registry.Snapshot();
+  counts.kept = CounterDelta(before, after, "ukc_swap_tables_total",
+                             {{"outcome", "kept"}});
+  counts.patched = CounterDelta(before, after, "ukc_swap_tables_total",
+                                {{"outcome", "patched"}});
+  counts.rebuilt = CounterDelta(before, after, "ukc_swap_tables_total",
+                                {{"outcome", "rebuilt"}});
+  counts.tail_events =
+      CounterDelta(before, after, "ukc_swap_tail_events_total");
+  return counts;
+}
+
+// Every table of every round lands in exactly one outcome, the first
+// round rebuilds all k, later rounds keep the swapped position's table,
+// and the split is the same at every thread count — as are the swap
+// matrices.
+TEST(SwapStateTest, TableOutcomeCountsAreThreadCountInvariant) {
+  constexpr size_t kK = 8;
+  constexpr size_t kRounds = 4;
+  const auto dataset = MakeDataset(1500, 4, 17);
+  const TrajectoryCounts serial = RunTrajectory(dataset, kK, kRounds, 1);
+  EXPECT_EQ(serial.kept + serial.patched + serial.rebuilt, kK * kRounds);
+  EXPECT_GE(serial.rebuilt, kK);
+  EXPECT_GE(serial.kept, kRounds - 1);
+  EXPECT_GT(serial.patched, 0u) << "the trajectory never exercised a patch";
+  for (int threads : kThreadCounts) {
+    const TrajectoryCounts run = RunTrajectory(dataset, kK, kRounds, threads);
+    EXPECT_EQ(run.kept, serial.kept) << "threads=" << threads;
+    EXPECT_EQ(run.patched, serial.patched) << "threads=" << threads;
+    EXPECT_EQ(run.rebuilt, serial.rebuilt) << "threads=" << threads;
+    EXPECT_EQ(run.rounds, serial.rounds) << "threads=" << threads;
+  }
+}
+
+// The tail merge walks a per-candidate number of events, so their sum
+// over a trajectory does not depend on which worker scored what.
+TEST(SwapStateTest, TailEventCountIsThreadCountInvariant) {
+  const auto dataset = MakeDataset(1500, 4, 29);
+  const TrajectoryCounts serial = RunTrajectory(dataset, 6, 3, 1);
+  EXPECT_GT(serial.tail_events, 0u);
+  for (int threads : kThreadCounts) {
+    const TrajectoryCounts run = RunTrajectory(dataset, 6, 3, threads);
+    EXPECT_EQ(run.tail_events, serial.tail_events) << "threads=" << threads;
+  }
+}
+
+// SwapStateBytes per location is flat in n, and the state outside the
+// event streams and ladders (SwapBaseMemoryBytes) is the two k-row
+// double tables plus O(N): a re-added k×N double array breaks the
+// (16k + 32)·N bound.
+TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
+  constexpr size_t kK = 8;
+  std::vector<double> bytes_per_location;
+  for (size_t n : {2000u, 4000u, 8000u}) {
+    const auto dataset = MakeDataset(n, 4, 41);
+    const size_t total = dataset.total_locations();
+    const auto sites = dataset.LocationSites();
+    std::vector<SiteId> centers =
+        std::move(solver::Gonzalez(dataset.space(), sites, kK)).value().centers;
+    std::vector<SiteId> pool;
+    for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(2, true));
+    for (size_t round = 0; round < 2; ++round) {
+      auto values = parallel.SwapCostMatrix(dataset, centers, pool);
+      ASSERT_TRUE(values.ok()) << values.status();
+      ApplyBestSwap(*values, pool, &centers);
+    }
+    const size_t state = parallel.SwapStateBytes();
+    const size_t streams = parallel.SwapBaseMemoryBytes();
+    ASSERT_GT(state, streams);
+    EXPECT_LE(state - streams, (16 * kK + 32) * total) << "n=" << n;
+    bytes_per_location.push_back(static_cast<double>(state) /
+                                 static_cast<double>(total));
+  }
+  const auto [low, high] =
+      std::minmax_element(bytes_per_location.begin(), bytes_per_location.end());
+  EXPECT_LE(*high, 1.1 * *low)
+      << "bytes per location: " << bytes_per_location[0] << ", "
+      << bytes_per_location[1] << ", " << bytes_per_location[2];
+}
+
+// Random 2-d points whose space also holds `clones` extra sites, each
+// at the exact coordinates of an existing location (distinct site ids).
+struct CloneInstance {
+  uncertain::UncertainDataset dataset;
+  std::vector<SiteId> clones;    // clones[j] copies originals[j].
+  std::vector<SiteId> originals;
+};
+
+CloneInstance MakeCloneInstance(size_t n, size_t z, size_t clones,
+                                uint64_t seed) {
+  auto space = std::make_shared<metric::EuclideanSpace>(2);
+  Rng rng(seed);
+  std::vector<uncertain::UncertainPoint> points;
+  for (size_t i = 0; i < n; ++i) {
+    const double cx = 10.0 * rng.UniformDouble();
+    const double cy = 10.0 * rng.UniformDouble();
+    std::vector<uncertain::Location> locations;
+    for (size_t l = 0; l < z; ++l) {
+      const double coords[2] = {cx + rng.UniformDouble() - 0.5,
+                                cy + rng.UniformDouble() - 0.5};
+      locations.push_back({space->AddCoords(coords), 1.0 / z});
+    }
+    points.push_back(
+        std::move(uncertain::UncertainPoint::Build(std::move(locations)))
+            .value());
+  }
+  std::vector<SiteId> clones_of;
+  std::vector<SiteId> originals;
+  for (size_t j = 0; j < clones; ++j) {
+    const SiteId original = static_cast<SiteId>((j * 37) % (n * z));
+    originals.push_back(original);
+    // Copied first: AddCoords may move the coordinate arena.
+    const double coords[2] = {space->coords(original)[0],
+                              space->coords(original)[1]};
+    clones_of.push_back(space->AddCoords(coords));
+  }
+  return CloneInstance{
+      std::move(uncertain::UncertainDataset::Build(space, std::move(points)))
+          .value(),
+      std::move(clones_of), std::move(originals)};
+}
+
+// Points whose locations sit on an integer grid, so many locations
+// share coordinates and many distances tie exactly: the order of tied
+// entries in a patched stream must be the full sort's (value,
+// location) order.
+uncertain::UncertainDataset MakeGridInstance(size_t n, size_t z,
+                                             uint64_t seed) {
+  auto space = std::make_shared<metric::EuclideanSpace>(2);
+  Rng rng(seed);
+  std::vector<uncertain::UncertainPoint> points;
+  for (size_t i = 0; i < n; ++i) {
+    const double cx = std::floor(24.0 * rng.UniformDouble());
+    const double cy = std::floor(24.0 * rng.UniformDouble());
+    std::vector<uncertain::Location> locations;
+    for (size_t l = 0; l < z; ++l) {
+      const double coords[2] = {cx + std::floor(3.0 * rng.UniformDouble()),
+                                cy + std::floor(3.0 * rng.UniformDouble())};
+      locations.push_back({space->AddCoords(coords), 1.0 / z});
+    }
+    points.push_back(
+        std::move(uncertain::UncertainPoint::Build(std::move(locations)))
+            .value());
+  }
+  return std::move(uncertain::UncertainDataset::Build(space, std::move(points)))
+      .value();
+}
+
+// Runs `rounds` rounds from `centers` on the fast and the reference
+// paths at every thread count: the fast matrices must equal the
+// reference bitwise, every thread count must agree bitwise, and each
+// value must match a fresh linear UnassignedCost of the swapped set to
+// rounding (parallel_eval_test's tolerance).
+void ExpectSwapParity(const uncertain::UncertainDataset& dataset,
+                      std::vector<SiteId> centers,
+                      const std::vector<SiteId>& pool, size_t rounds,
+                      const std::string& label) {
+  cost::ExpectedCostEvaluator::Options linear_options;
+  linear_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator linear(linear_options);
+  std::vector<std::vector<double>> serial_rounds;
+  for (int threads : kThreadCounts) {
+    cost::ParallelCandidateEvaluator fast(EvaluatorOptions(threads, true));
+    cost::ParallelCandidateEvaluator reference(EvaluatorOptions(threads, false));
+    std::vector<SiteId> trajectory = centers;
+    for (size_t round = 0; round < rounds; ++round) {
+      auto want = reference.SwapCostMatrix(dataset, trajectory, pool);
+      auto got = fast.SwapCostMatrix(dataset, trajectory, pool);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, *want) << label << " threads=" << threads
+                             << " round=" << round;
+      if (threads == kThreadCounts[0]) {
+        serial_rounds.push_back(*got);
+        for (size_t p = 0; p < trajectory.size(); ++p) {
+          for (size_t c = 0; c < pool.size(); ++c) {
+            std::vector<SiteId> trial = trajectory;
+            trial[p] = pool[c];
+            const double full = *linear.UnassignedCost(dataset, trial);
+            EXPECT_NEAR((*got)[p * pool.size() + c], full,
+                        1e-12 * (1.0 + std::abs(full)))
+                << label << " round=" << round << " p=" << p << " c=" << c;
+          }
+        }
+      } else {
+        EXPECT_EQ(*got, serial_rounds[round])
+            << label << " threads=" << threads << " round=" << round;
+      }
+      ApplyBestSwap(*got, pool, &trajectory);
+    }
+  }
+}
+
+TEST(SwapStateTest, PatchedStreamsWithTiedDistancesMatchReference) {
+  const auto dataset = MakeGridInstance(1500, 4, 71);
+  const TrajectoryCounts counts = RunTrajectory(dataset, 8, 4, 1);
+  EXPECT_GT(counts.patched, 0u) << "the trajectory never exercised a patch";
+  const auto sites = dataset.LocationSites();
+  std::vector<SiteId> pool;
+  for (size_t i = 0; i < 24; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
+  ExpectSwapParity(
+      dataset,
+      std::move(solver::Gonzalez(dataset.space(), sites, 8)).value().centers,
+      pool, 4, "integer grid");
+}
+
+TEST(SwapStateTest, SingleCenterMatchesReference) {
+  // k = 1: d2 is +inf everywhere, so the only base row is all +inf.
+  for (exper::Family family :
+       {exper::Family::kClustered, exper::Family::kGridGraph}) {
+    const auto dataset = MakeDataset(120, 3, 53, family);
+    const auto sites = dataset.LocationSites();
+    std::vector<SiteId> pool;
+    for (size_t i = 0; i < 9; ++i) pool.push_back(sites[(i * 41) % sites.size()]);
+    ExpectSwapParity(dataset, {sites[sites.size() / 2]}, pool, 3,
+                     family == exper::Family::kClustered ? "k=1 euclidean"
+                                                         : "k=1 grid graph");
+  }
+}
+
+TEST(SwapStateTest, CoincidentCentersMatchReference) {
+  // Two centers at identical coordinates: every location's nearest
+  // distance is tied, so d2 == d1 and both base rows are the full
+  // set's distances.
+  const CloneInstance instance = MakeCloneInstance(150, 3, 1, 61);
+  const auto sites = instance.dataset.LocationSites();
+  std::vector<SiteId> pool;
+  for (size_t i = 0; i < 10; ++i) pool.push_back(sites[(i * 43) % sites.size()]);
+  ExpectSwapParity(instance.dataset,
+                   {instance.originals[0], instance.clones[0]}, pool, 3,
+                   "coincident k=2");
+}
+
+TEST(SwapStateTest, CandidateCloningACenterMatchesReference) {
+  // The pool holds a distinct site at a center's exact coordinates:
+  // that swap leaves every distance unchanged.
+  const CloneInstance instance = MakeCloneInstance(150, 3, 3, 67);
+  const auto sites = instance.dataset.LocationSites();
+  std::vector<SiteId> centers = instance.originals;
+  std::vector<SiteId> pool = instance.clones;
+  for (size_t i = 0; i < 8; ++i) pool.push_back(sites[(i * 53) % sites.size()]);
+  ExpectSwapParity(instance.dataset, centers, pool, 3, "clone candidate");
+}
+
+}  // namespace
+}  // namespace ukc
