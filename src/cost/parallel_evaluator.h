@@ -108,7 +108,7 @@ class ParallelCandidateEvaluator {
   /// tied events may apply in a different order) and are bitwise
   /// identical across thread counts. Resident state is k base rows, k
   /// kd bound rows and k sorted event streams of total_locations
-  /// entries each, plus three location arrays (SwapStateBytes).
+  /// entries each, plus O(total_locations) (SwapStateBytes).
   Result<std::vector<double>> SwapCostMatrix(
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,
