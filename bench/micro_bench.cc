@@ -119,32 +119,6 @@ void SwapRounds(benchmark::State& state, size_t rounds,
                           static_cast<int64_t>(rounds * 8 * pool.size()));
 }
 
-void SwapSweepRounds(benchmark::State& state, bool reference_swap_paths) {
-  cost::ParallelCandidateEvaluator::Options options;
-  options.threads = 1;
-  options.reference_swap_paths = reference_swap_paths;
-  cost::ParallelCandidateEvaluator parallel(options);
-  SwapRounds(state, /*rounds=*/3, &parallel);
-}
-
-// Evidence for the rollover + kd-pruned swap engine (Rebuild is the
-// reference path, ParallelCandidateEvaluator::Options::reference_swap_paths).
-void BM_SwapSweepRebuildRounds(benchmark::State& state) {
-  SwapSweepRounds(state, /*reference_swap_paths=*/true);
-}
-BENCHMARK(BM_SwapSweepRebuildRounds)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SwapSweepIncremental(benchmark::State& state) {
-  SwapSweepRounds(state, /*reference_swap_paths=*/false);
-}
-BENCHMARK(BM_SwapSweepIncremental)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
 // Two rounds with the snapshot ladder compacted or full: wall time,
 // resident ladder bytes, total swap-base bytes, everything the engine
 // keeps between rounds (swap_state_bytes), and the registry's

@@ -1,8 +1,7 @@
 // Shared 64-bit content hashing: FNV-1a folded 8 bytes at a time, the
-// same primitive the incremental swap engine uses for its dataset
-// fingerprints (cost/parallel_evaluator.cc) and the checkpoint layer
-// uses for its sidecar checksum and stream content fingerprint
-// (stream/checkpoint.h). Not cryptographic — it guards against
+// primitive the checkpoint layer uses for its sidecar checksum and
+// stream content fingerprint (stream/checkpoint.h) and serving uses for
+// its tenant fingerprints. Not cryptographic — it guards against
 // corruption and configuration drift, not adversaries.
 
 #ifndef UKC_COMMON_HASH_H_

@@ -129,7 +129,6 @@ Result<UnassignedSolution> LocalSearchUnassigned(
   cost::ParallelCandidateEvaluator::Options parallel_options;
   parallel_options.threads = options.threads;
   parallel_options.pool = options.pool;
-  parallel_options.reference_swap_paths = options.reference_swap_paths;
   parallel_options.evaluator.kdtree_cutover =
       std::numeric_limits<size_t>::max();
   parallel_options.evaluator.deadline = options.deadline;

@@ -73,12 +73,6 @@ struct UnassignedSearchOptions {
   /// private pool is constructed (see ScopedPool in common/thread_pool.h).
   /// Also forwarded to the seeding pipeline unless it sets its own.
   ThreadPool* pool = nullptr;
-  /// Score swap rounds through the reference paths (full table rebuild
-  /// every round, full O(N) candidate scans) instead of the incremental
-  /// rollover + kd-pruned engine. The trajectory is bitwise identical
-  /// either way (tests/incremental_sweep_test.cc asserts it); this knob
-  /// exists for those assertions and for benchmarking the engine.
-  bool reference_swap_paths = false;
   /// Cancellation/budget token checked before the seed solve and at
   /// every swap round (plus per candidate inside the evaluators it is
   /// forwarded to). Expiry returns kDeadlineExceeded — the

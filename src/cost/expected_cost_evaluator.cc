@@ -410,81 +410,18 @@ Status ExpectedCostEvaluator::BuildSwapBase(
   if (&sorted != &out->events) {
     std::copy(sorted.begin(), sorted.end(), out->events.begin());
   }
-  FinishSwapBase(dataset, base_distances, out);
-  return Status::OK();
-}
 
-Status ExpectedCostEvaluator::PatchSwapBase(
-    const uncertain::UncertainDataset& dataset,
-    std::span<const double> new_base, std::span<const uint32_t> changed,
-    std::span<const uint32_t> point_of, SwapBase* out) {
-  ScratchGuard guard(this);
-  UKC_CHECK(out != nullptr);
-  const size_t total = dataset.total_locations();
-  if (new_base.size() != total || point_of.size() != total ||
-      out->events.size() != total) {
-    return Status::InvalidArgument(
-        "PatchSwapBase: table sizes must equal total_locations");
-  }
-  for (size_t j = 0; j < changed.size(); ++j) {
-    if (changed[j] >= total || (j > 0 && changed[j] <= changed[j - 1])) {
-      return Status::InvalidArgument(
-          "PatchSwapBase: changed locations must be strictly ascending ids");
-    }
-  }
-  const double* probabilities = dataset.flat_probabilities().data();
-  CheckScratchReservation();
-
-  // Replacement entries, sorted into the exact (value, location) order
-  // the full sort produces; the stamp mask marks their locations for
-  // the compaction pass.
-  BeginChangedCollection(dataset);
-  for (uint32_t l : changed) {
-    changed_.emplace_back(new_base[l], l);
-    changed_stamp_[l] = stamp_;
-  }
-  std::sort(changed_.begin(), changed_.end());
-
-  // Compact the surviving entries (already in order) to the front of
-  // the stream, then merge the replacements in from the back: the
-  // write slot never overtakes an unread kept entry, so no second
-  // buffer is needed.
-  std::vector<Event>& events = out->events;
-  size_t a = 0;
-  for (size_t e = 0; e < total; ++e) {
-    if (changed_stamp_[events[e].location] != stamp_) events[a++] = events[e];
-  }
-  size_t b = changed_.size();
-  size_t slot = total;
-  while (b > 0) {
-    const auto [value, l] = changed_[b - 1];
-    if (a > 0 && (events[a - 1].value != value ? events[a - 1].value > value
-                                               : events[a - 1].location > l)) {
-      events[--slot] = events[--a];
-    } else {
-      events[--slot] = Event{value, point_of[l], l, probabilities[l]};
-      --b;
-    }
-  }
-  FinishSwapBase(dataset, new_base, out);
-  return Status::OK();
-}
-
-void ExpectedCostEvaluator::FinishSwapBase(
-    const uncertain::UncertainDataset& dataset,
-    std::span<const double> base_distances, SwapBase* out) {
   // Every build gets a process-unique id: the derived-rung cache keys
   // on it, so no evaluator — this one or any other — can mistake a
   // rebuilt table at a reused address for the one it derived from.
   static std::atomic<uint64_t> next_build_id{1};
   out->build_id = next_build_id.fetch_add(1, std::memory_order_relaxed);
   const size_t n = dataset.n();
-  const size_t total = dataset.total_locations();
   const size_t* offsets = dataset.offsets().data();
 
   // Per-point minimum base distance (the value axis of the ladder).
   // swap_first_/swap_order_/cdf_ are member scratch — this runs once
-  // per stale table per round, so no per-call allocations.
+  // per table per round, so no per-call allocations.
   std::vector<double>& first = swap_first_;
   first.assign(n, std::numeric_limits<double>::infinity());
   for (size_t i = 0; i < n; ++i) {
@@ -596,6 +533,7 @@ void ExpectedCostEvaluator::FinishSwapBase(
     capture(next_level, s);
     --next_level;
   }
+  return Status::OK();
 }
 
 double ExpectedCostEvaluator::MergeSweepFrom(
@@ -842,13 +780,7 @@ ExpectedCostEvaluator::EscalateAndCollect(
   for (size_t level = 1; level < kSwapLadderRungs; ++level) {
     if (base.levels[level].threshold <= start) return &base.levels[level];
   }
-  CollectAllImproved(dataset, base_distances, extra);
-  return nullptr;
-}
-
-void ExpectedCostEvaluator::CollectAllImproved(
-    const uncertain::UncertainDataset& dataset,
-    std::span<const double> base_distances, metric::SiteId extra) {
+  // Only the full merge remains: collect EVERY improved location.
   BeginChangedCollection(dataset);
   ScanImproved(dataset, base_distances, extra,
                -std::numeric_limits<double>::infinity(),
@@ -856,120 +788,7 @@ void ExpectedCostEvaluator::CollectAllImproved(
                  changed_.emplace_back(d, static_cast<uint32_t>(l));
                  changed_stamp_[l] = stamp_;
                });
-}
-
-Result<double> ExpectedCostEvaluator::UnassignedCostSwapPruned(
-    const uncertain::UncertainDataset& dataset,
-    std::span<const double> base_distances, const SwapBase& base,
-    std::span<const uint32_t> point_of, metric::SiteId extra,
-    const geometry::BoundedKdTree& tree, std::span<const double> subtree_max) {
-  ScratchGuard guard(this);
-  UKC_RETURN_IF_ERROR(options_.deadline.Check("UnassignedCostSwapPruned"));
-  const metric::EuclideanSpace* euclidean = dataset.euclidean();
-  if (euclidean == nullptr) {
-    return Status::FailedPrecondition(
-        "UnassignedCostSwapPruned: requires a Euclidean dataset");
-  }
-  if (extra < 0 || extra >= dataset.space().num_sites()) {
-    return Status::InvalidArgument(
-        StrFormat("UnassignedCostSwapPruned: center %d out of range", extra));
-  }
-  const size_t total = dataset.total_locations();
-  if (base_distances.size() != total || base.events.size() != total ||
-      point_of.size() != total || base.levels[0].cdf.size() != dataset.n() ||
-      tree.size() != total || subtree_max.size() != total) {
-    return Status::InvalidArgument(
-        "UnassignedCostSwapPruned: table sizes must match the dataset");
-  }
-  const size_t dim = euclidean->dim();
-  const metric::Norm norm = euclidean->norm();
-  const double* target = euclidean->coords(extra);
-
-  BeginChangedCollection(dataset);
-  const double threshold = base.threshold;
-  size_t bottleneck_hits = 0;
-  const auto consider = [&](double d, size_t l) {
-    changed_.emplace_back(d, static_cast<uint32_t>(l));
-    changed_stamp_[l] = stamp_;
-    if (d < threshold) {
-      const uint32_t i = point_of[l];
-      if (base.bottleneck[i] && point_stamp_[i] != stamp_) {
-        point_stamp_[i] = stamp_;
-        ++bottleneck_hits;
-      }
-    }
-  };
-
-  // Pruning slack: the per-axis-excess box bound and the squared
-  // maximum are each within ~1e-15 relative of their real values, so a
-  // 1e-9 deflation can never prune a subtree holding a location that
-  // passes the exact per-location test below — it only re-visits a few
-  // boundary nodes. The subtree maxima are *masked* (0 where the base
-  // distance sits below the threshold), so whole subtrees of
-  // can-never-qualify locations prune immediately; the per-location
-  // test applies the same base >= threshold gate as the full scan.
-  constexpr double kSlack = 1.0 - 1e-9;
-  if (norm == metric::Norm::kL2) {
-    // Same arithmetic as the full scan: squared kernel, dsq < b² test,
-    // sqrt only for the winners.
-    tree.Traverse(
-        subtree_max,
-        [&](const double* lo, const double* hi, double node_max) {
-          double bound = 0.0;
-          for (size_t a = 0; a < dim; ++a) {
-            const double x = target[a];
-            const double e = x < lo[a] ? lo[a] - x : (x > hi[a] ? x - hi[a] : 0.0);
-            bound += e * e;
-          }
-          return bound * kSlack >= node_max * node_max;
-        },
-        [&](uint32_t l, const double* coords) {
-          const double b = base_distances[l];
-          if (b < threshold) return;
-          const double dsq = geometry::SquaredDistanceKernel(coords, target, dim);
-          if (dsq < b * b) consider(std::sqrt(dsq), l);
-        });
-  } else {
-    tree.Traverse(
-        subtree_max,
-        [&](const double* lo, const double* hi, double node_max) {
-          double bound = 0.0;
-          for (size_t a = 0; a < dim; ++a) {
-            const double x = target[a];
-            const double e = x < lo[a] ? lo[a] - x : (x > hi[a] ? x - hi[a] : 0.0);
-            if (norm == metric::Norm::kL1) {
-              bound += e;
-            } else {
-              bound = std::max(bound, e);
-            }
-          }
-          return bound * kSlack >= node_max;
-        },
-        [&](uint32_t l, const double* coords) {
-          const double b = base_distances[l];
-          if (b < threshold) return;
-          const double d = metric::NormDistanceKernel(norm, coords, target, dim);
-          if (d < b) consider(d, l);
-        });
-  }
-
-  // The tree yields locations in traversal order; the full scan
-  // collects them in ascending location order, and the snapshot path's
-  // CDF additions follow collection order — re-sort so every downstream
-  // addition happens in the exact same sequence (bitwise parity).
-  std::sort(changed_.begin(), changed_.end(),
-            [](const std::pair<double, uint32_t>& a,
-               const std::pair<double, uint32_t>& b) {
-              return a.second < b.second;
-            });
-  const SwapBase::Snapshot* level = &base.levels[0];
-  if (bottleneck_hits == base.bottleneck_count) {
-    // The escalation re-collects with a plain gated scan in both entry
-    // points, so a kd-detected escalation is bitwise identical to a
-    // full-scan-detected one.
-    level = EscalateAndCollect(dataset, base, point_of, base_distances, extra);
-  }
-  return ScoreSwapFromChanged(dataset, base, point_of, base_distances, level);
+  return nullptr;
 }
 
 Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
@@ -1002,9 +821,9 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
     // Compacted intermediate rung: re-derive its CDF from the deepest
     // rung (always resident) by replaying the base prefix
     // events[deepest.index, level->index) — the same per-variable
-    // additions in the same order FinishSwapBase applied them, so the
+    // additions in the same order BuildSwapBase applied them, so the
     // result is bitwise identical to the rung the reference ladder
-    // stores. The derivation is cached per (table, epoch, rung):
+    // stores. The derivation is cached per (table build, rung):
     // every further candidate of the round escalating to this rung
     // reuses it, so the O(prefix) replay is paid once per evaluator,
     // not once per candidate.

@@ -57,7 +57,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "cost/assignment.h"
-#include "geometry/bounded_kdtree.h"
 #include "geometry/kdtree.h"
 #include "uncertain/dataset.h"
 
@@ -208,16 +207,10 @@ class ExpectedCostEvaluator {
     std::vector<double> deep_first;
     /// Collection gate of the fast path == levels[0].threshold.
     double threshold = 0.0;
-    /// Round stamp managed by the owner (ParallelCandidateEvaluator's
-    /// incremental rollover): a table may only be consulted when its
-    /// epoch equals the owner's current round epoch — the CHECK that
-    /// makes a stale rolled-over table a crash instead of a wrong
-    /// answer.
-    uint64_t epoch = 0;
-    /// Process-unique id stamped by every (re)build — the derived-rung
-    /// cache keys on it, so a rebuilt table at a reused address can
-    /// never serve a stale derivation, including through the direct
-    /// BuildSwapBase/score API where epoch stays 0.
+    /// Process-unique id stamped by every BuildSwapBase — the
+    /// derived-rung cache keys on it, so a table rebuilt at a reused
+    /// address (ParallelCandidateEvaluator rebuilds every table on
+    /// every SwapCostMatrix call) can never serve a stale derivation.
     uint64_t build_id = 0;
 
     /// Resident bytes of the snapshot CDFs — exactly the storage
@@ -239,22 +232,6 @@ class ExpectedCostEvaluator {
                        std::span<const double> base_distances,
                        std::span<const uint32_t> point_of, SwapBase* out);
 
-  /// Rebuilds `out` for new_base by PATCHING its sorted stream, where
-  /// `changed` lists (strictly ascending) every location whose base
-  /// value differs from the one `out` was built with: their entries are
-  /// compacted out of out->events in place and the sorted replacements
-  /// are merged back from the end, then the ladder snapshots are
-  /// re-swept. Bitwise identical to BuildSwapBase(new_base, ...) (the
-  /// stream is re-formed in the exact (value, location) order the full
-  /// sort produces) at O(N + changed·log changed) instead of a fresh
-  /// radix sort — the incremental-rollover path for the k−1 base
-  /// tables a one-center swap perturbs. A `changed` list that misses a
-  /// changed location is a caller bug the result does not detect.
-  Status PatchSwapBase(const uncertain::UncertainDataset& dataset,
-                       std::span<const double> new_base,
-                       std::span<const uint32_t> changed,
-                       std::span<const uint32_t> point_of, SwapBase* out);
-
   /// Exact unassigned cost of a one-center swap — location l's distance
   /// to the swapped set is min(base_distances[l], d(l, extra)) — scored
   /// against tables built once by BuildSwapBase and shared across many
@@ -272,26 +249,6 @@ class ExpectedCostEvaluator {
       const uncertain::UncertainDataset& dataset,
       std::span<const double> base_distances, const SwapBase& base,
       std::span<const uint32_t> point_of, metric::SiteId extra);
-
-  /// UnassignedCostSwapPresorted with the candidate's O(N) distance
-  /// pass replaced by a pruned walk of `tree` (a BoundedKdTree over the
-  /// flat *locations*, in flat order): `subtree_max[slot]` must hold
-  /// the subtree maximum of base_distances (FillSubtreeMax), so a
-  /// subtree whose bounding box is farther from the candidate than its
-  /// maximum base distance is skipped whole — only the ~m locations the
-  /// candidate can possibly improve are visited. Every visited location
-  /// is re-tested with the exact same kernel + comparison as the full
-  /// scan and the collected set is re-sorted into the scan's location
-  /// order, so the result is BITWISE identical to
-  /// UnassignedCostSwapPresorted (the pruning predicate carries a
-  /// 1e-9 relative slack that dwarfs the bounding-box arithmetic's
-  /// ~1e-15 rounding, so no qualifying location can ever be pruned).
-  /// Euclidean datasets only.
-  Result<double> UnassignedCostSwapPruned(
-      const uncertain::UncertainDataset& dataset,
-      std::span<const double> base_distances, const SwapBase& base,
-      std::span<const uint32_t> point_of, metric::SiteId extra,
-      const geometry::BoundedKdTree& tree, std::span<const double> subtree_max);
 
   /// Exact E[max_i X_i] for independent discrete X_i. O(N log N) in the
   /// total support size N. Reuses the evaluator's event/CDF scratch.
@@ -311,8 +268,8 @@ class ExpectedCostEvaluator {
   // RAII enforcement of the one-thread-at-a-time contract: marks the
   // evaluator owned by the calling thread for the duration of a public
   // evaluation, CHECK-failing if another thread already holds it.
-  // Reentrant from the owning thread (PatchSwapBase falls back to
-  // BuildSwapBase).
+  // Nested entries from the owning thread are depth-counted, so one
+  // public entry point may call another (none currently does).
   class ScratchGuard {
    public:
     explicit ScratchGuard(ExpectedCostEvaluator* evaluator);
@@ -351,35 +308,19 @@ class ExpectedCostEvaluator {
   // collection pass.
   void BeginChangedCollection(const uncertain::UncertainDataset& dataset);
 
-  // The shared back half of BuildSwapBase/PatchSwapBase: derives the
-  // rung thresholds, bottleneck flags, and ladder snapshots from
-  // base_distances and the already-sorted out->events.
-  void FinishSwapBase(const uncertain::UncertainDataset& dataset,
-                      std::span<const double> base_distances,
-                      SwapBase* out);
-
-  // Fills changed_ with EVERY improved location (d < base, no
-  // threshold gate) — the collection the full-merge fallback needs.
-  // Shared by the full-scan and kd-pruned entry points so a fallback is
-  // bitwise identical no matter which path detected it.
-  void CollectAllImproved(const uncertain::UncertainDataset& dataset,
-                          std::span<const double> base_distances,
-                          metric::SiteId extra);
-
   // The escalation pass after level 0 is invalidated: one gated
   // re-collection at the deepest rung's threshold, a lower bound on the
   // candidate's new emission start from the deep points' improved
   // service, and the highest still-valid rung as the scoring level —
   // or nullptr when only the full merge remains (in which case
-  // changed_ is re-collected in full). Shared verbatim by the
-  // full-scan and kd-pruned entry points.
+  // changed_ is re-collected in full: every improved location, no
+  // threshold gate).
   const SwapBase::Snapshot* EscalateAndCollect(
       const uncertain::UncertainDataset& dataset, const SwapBase& base,
       std::span<const uint32_t> point_of,
       std::span<const double> base_distances, metric::SiteId extra);
 
-  // Scores a swap from the collected changed_ set (the shared tail of
-  // the full-scan and kd-pruned collection paths): the replay against
+  // Scores a swap from the collected changed_ set: the replay against
   // ladder rung `level`, or — when level is nullptr — the full
   // merge-from-scratch over the complete improved set. changed_ must
   // be in ascending location order and stamped into changed_stamp_.
@@ -437,8 +378,7 @@ class ExpectedCostEvaluator {
   // the same table pay the O(prefix) replay once per evaluator instead
   // of once per candidate. A stale key can never alias a live table:
   // SwapBase::build_id is process-unique per build, no matter which
-  // evaluator rebuilt the table or whether the owner runs the epoch
-  // scheme.
+  // evaluator built the table.
   std::vector<double> derived_cdf_;
   uint64_t derived_build_id_ = 0;
   int derived_level_ = -1;
@@ -454,8 +394,8 @@ class ExpectedCostEvaluator {
   std::vector<double> point_min_;  // Stamped per-point improved minimum.
   uint32_t stamp_ = 0;
 
-  // FinishSwapBase scratch: per-point minima and their order-statistic
-  // workspace (one stale table per position per round — no per-call
+  // BuildSwapBase scratch: per-point minima and their order-statistic
+  // workspace (one table per position per round — no per-call
   // allocations).
   std::vector<double> swap_first_;
   std::vector<double> swap_order_;

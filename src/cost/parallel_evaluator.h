@@ -19,51 +19,35 @@
 // d2 where owner == p and d1 elsewhere — the closest / second-closest
 // bookkeeping of Whitaker's fast interchange. Each swapped set then
 // costs one kernel distance per location instead of k. min() is exact
-// in floating point, so the swap values are bitwise identical to full
-// linear-path evaluations.
+// in floating point, so every location's swapped distance is bitwise
+// the one a full linear-path evaluation computes.
 //
-// On top of that, SwapCostMatrix is an *incremental engine* across
-// local-search rounds (Euclidean datasets):
-//   - Rollover: each position's base row is rewritten in place from
-//     d1 / d2 / owner and diffed against last round's as it is
-//     written. A bitwise-unchanged row keeps its presorted event
-//     stream and sweep snapshots; a row with at most N/8 changed
-//     locations patches its stream with just those locations; any
-//     other row rebuilds it (counted in ukc_swap_tables_total). On a
-//     one-swap round the swapped position's own row — the only one
-//     excluding the replaced center — always survives. Validity is
-//     enforced, not assumed: the cached tables are keyed by a
-//     fingerprint of the dataset's location data, and every table
-//     carries an epoch that is CHECKed at consultation time, so a stale
-//     table is a crash, never a wrong answer. The tables roll over
-//     across center swaps only: a dataset's points are fixed at Build,
-//     and any other dataset misses the fingerprint and rebuilds every
-//     table.
-//   - kd-pruned candidate scans: a BoundedKdTree over the *locations*
-//     with per-position subtree bounds of the base distances lets each
-//     candidate visit only the ~m locations it can possibly improve,
-//     instead of all N (ExpectedCostEvaluator::UnassignedCostSwapPruned).
-// Both paths are bitwise identical to the full rebuild + full O(N)
-// scan, which remain available via Options::reference_swap_paths
-// (asserted by tests/incremental_sweep_test.cc across thread counts,
-// dimensions, and multi-round trajectories).
+// Every call rebuilds its tables from scratch: d1 / d2 / owner, then
+// the k base rows, then one presorted event stream with its sweep
+// snapshots per position (ExpectedCostEvaluator::BuildSwapBase). Each
+// candidate is scored against its position's tables with a full O(N)
+// scan of the locations, the snapshot ladder and a tail replay
+// (ExpectedCostEvaluator::UnassignedCostSwapPresorted). No table
+// outlives the call it was built in, so nothing is keyed, stamped or
+// invalidated across rounds; a different dataset or center set is just
+// the next call. tests/incremental_sweep_test.cc asserts the matrices
+// bitwise equal across thread counts and within rounding of a fresh
+// linear-path UnassignedCost over multi-round trajectories.
 //
-// Memory: the k base rows, the k bound rows and the k event streams
-// are the O(k·N) state (SwapStateBytes); d1 / d2 / owner and the
-// location → point map add O(N).
+// Memory: the k base rows and the k event streams are the O(k·N)
+// state (SwapStateBytes); d1 / d2 / owner and the location → point map
+// add O(N).
 
 #ifndef UKC_COST_PARALLEL_EVALUATOR_H_
 #define UKC_COST_PARALLEL_EVALUATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "cost/expected_cost_evaluator.h"
-#include "geometry/bounded_kdtree.h"
 #include "uncertain/dataset.h"
 
 namespace ukc {
@@ -82,13 +66,6 @@ class ParallelCandidateEvaluator {
     ThreadPool* pool = nullptr;
     /// Per-worker evaluator configuration.
     ExpectedCostEvaluator::Options evaluator;
-    /// Score SwapCostMatrix through the reference paths: rebuild every
-    /// base table on every call and scan all N locations per candidate.
-    /// false (the default) rolls the tables over across calls and
-    /// prunes each candidate's scan with the location kd-tree (Euclidean
-    /// datasets only; bitwise identical either way). The gap is
-    /// micro_bench BM_SwapSweepRebuildRounds vs BM_SwapSweepIncremental.
-    bool reference_swap_paths = false;
   };
 
   /// Default options: hardware thread count, default evaluator config.
@@ -106,9 +83,9 @@ class ParallelCandidateEvaluator {
   /// fresh O(N log N) evaluation. Values agree with a full linear-path
   /// evaluation of the swapped set to rounding (identical value order;
   /// tied events may apply in a different order) and are bitwise
-  /// identical across thread counts. Resident state is k base rows, k
-  /// kd bound rows and k sorted event streams of total_locations
-  /// entries each, plus O(total_locations) (SwapStateBytes).
+  /// identical across thread counts. Resident state is k base rows and
+  /// k sorted event streams of total_locations entries each, plus
+  /// O(total_locations) (SwapStateBytes).
   Result<std::vector<double>> SwapCostMatrix(
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,
@@ -122,9 +99,9 @@ class ParallelCandidateEvaluator {
   /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
   size_t SwapLadderBytes() const;
   size_t SwapBaseMemoryBytes() const;
-  /// Everything SwapCostMatrix keeps between calls: the base and kd
-  /// bound rows, d1 / d2 / owner, the location → point map and
-  /// SwapBaseMemoryBytes (capacities, in bytes).
+  /// Everything SwapCostMatrix keeps between calls: the base rows,
+  /// d1 / d2 / owner, the location → point map and SwapBaseMemoryBytes
+  /// (capacities, in bytes).
   size_t SwapStateBytes() const;
 
   /// Generic sharding hook: runs fn(evaluator, task) for every task in
@@ -155,39 +132,18 @@ class ParallelCandidateEvaluator {
   size_t reserved_points_ = 0;
   size_t reserved_locations_ = 0;
 
-  // SwapCostMatrix state, reused across rounds. Per location: the
-  // distance to its nearest center (d1_), that center's position
-  // (owner_) and the minimum over every other position (d2_; +inf when
-  // k = 1), recomputed every call. Per position: the "all centers but
-  // p" base row (d2 where owner == p, else d1) and its presorted event
-  // stream with sweep snapshots.
+  // SwapCostMatrix buffers, rewritten by every call (kept only so the
+  // next call reuses their capacity). Per location: the distance to its
+  // nearest center (d1_), that center's position (owner_) and the
+  // minimum over every other position (d2_; +inf when k = 1). Per
+  // position: the "all centers but p" base row (d2 where owner == p,
+  // else d1) and its presorted event stream with sweep snapshots.
   std::vector<double> d1_;
   std::vector<double> d2_;
   std::vector<uint32_t> owner_;
   std::vector<double> base_without_;      // k rows of total_locations.
   std::vector<ExpectedCostEvaluator::SwapBase> swap_bases_;
   std::vector<uint32_t> point_of_;        // Location → owning point.
-  // Per worker: the locations whose base value changed while one row
-  // was rewritten (at most total_locations / 8, the patch limit).
-  std::vector<std::vector<uint32_t>> changed_locations_;
-
-  // Incremental-rollover state. The rows/tables describe the instance
-  // identified by swap_fingerprint_ (a content hash of the dataset's
-  // location data — NOT the dataset's address, which a rebuilt dataset
-  // could reuse); a fingerprint miss rebuilds everything. tables_valid_
-  // says the last call completed, so every base row matches its table.
-  // swap_epoch_ advances every SwapCostMatrix call and every table's
-  // epoch must equal it at consultation (CHECK).
-  uint64_t swap_epoch_ = 0;
-  std::optional<uint64_t> swap_fingerprint_;
-  bool tables_valid_ = false;
-
-  // kd-pruned scan state: the location tree (rebuilt only when the
-  // fingerprint changes) and per-position subtree maxima of the base
-  // distances (k rows of total_locations slots, refreshed with the
-  // corresponding swap base).
-  std::optional<geometry::BoundedKdTree> location_tree_;
-  std::vector<double> node_base_max_;
 };
 
 }  // namespace cost

@@ -6,8 +6,11 @@
 namespace ukc {
 namespace geometry {
 
-namespace internal {
+namespace {
 
+// Arranges order[begin, end) into implicit median layout: the subtree
+// over slot range [begin, end) has its root (the median along axis
+// depth % dim) at the middle slot, recursively.
 void ImplicitMedianLayout(std::vector<uint32_t>* order, const double* coords,
                           size_t dim, size_t begin, size_t end, size_t depth) {
   if (end - begin <= 1) return;
@@ -21,7 +24,7 @@ void ImplicitMedianLayout(std::vector<uint32_t>* order, const double* coords,
   ImplicitMedianLayout(order, coords, dim, median + 1, end, depth + 1);
 }
 
-}  // namespace internal
+}  // namespace
 
 Result<KdTree> KdTree::Build(const std::vector<Point>& points) {
   if (points.empty()) {
@@ -58,7 +61,7 @@ Result<KdTree> KdTree::BuildFlat(std::vector<double> coords, size_t dim) {
   tree.dim_ = dim;
   std::vector<uint32_t> order(count);
   for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-  internal::ImplicitMedianLayout(&order, coords.data(), dim, 0, count, 0);
+  ImplicitMedianLayout(&order, coords.data(), dim, 0, count, 0);
 
   // Gather the input coordinates into tree order.
   tree.coords_.resize(coords.size());

@@ -27,17 +27,6 @@
 namespace ukc {
 namespace geometry {
 
-namespace internal {
-
-/// Arranges order[begin, end) into implicit median layout: the subtree
-/// over slot range [begin, end) has its root (the median along axis
-/// depth % dim) at the middle slot, recursively. Shared by KdTree and
-/// BoundedKdTree so the two trees can never drift apart on the layout.
-void ImplicitMedianLayout(std::vector<uint32_t>* order, const double* coords,
-                          size_t dim, size_t begin, size_t end, size_t depth);
-
-}  // namespace internal
-
 /// A nearest-neighbor answer: index into the construction array plus
 /// the (squared) distance.
 struct NearestResult {

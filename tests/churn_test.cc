@@ -18,9 +18,9 @@
 //      layer degrades it to a counted full re-ingest.
 //
 // The cost layer has no churn path: an UncertainDataset's points are
-// fixed at Build, and SwapCostMatrix's tables roll over across center
-// swaps only. A changed dataset misses the content fingerprint and
-// rebuilds (incremental_sweep_test DatasetChangeInvalidatesRolledTables).
+// fixed at Build, and SwapCostMatrix rebuilds its tables on every call,
+// so a changed dataset is just the next call
+// (incremental_sweep_test ReusedEvaluatorMatchesFreshOnNextDataset).
 
 #include <gtest/gtest.h>
 

@@ -1,31 +1,30 @@
-// Randomized property suite for the incremental swap-sweep engine.
-//
-// The engine (cost/parallel_evaluator.h) claims two exact equivalences,
-// and this file asserts both the hard way — EXPECT_EQ on doubles, no
-// tolerance anywhere:
-//  * incremental rollover: SwapCostMatrix with rolled-over base tables
-//    (only the entries touched by the accepted swap rebuilt) is bitwise
-//    identical to a full rebuild every round;
-//  * kd-pruned candidate scans: visiting only the locations a candidate
-//    can improve (BoundedKdTree with per-position subtree bounds) is
-//    bitwise identical to the full O(N) scan.
+// Randomized property suite for the swap engine
+// (cost/parallel_evaluator.h). SwapCostMatrix rebuilds its tables on
+// every call and scores each candidate with a full O(N) scan, the
+// snapshot ladder and a tail replay; this file pins two properties:
+//  * every matrix is bitwise equal at every thread count (EXPECT_EQ on
+//    doubles, no tolerance);
+//  * every swap value agrees, to 1e-12 relative, with a fresh
+//    linear-path UnassignedCost of the swapped center set.
 // Both are exercised as multi-round local-search *trajectories* — the
-// accepted swap of round r feeds round r+1, so a single mismatched bit
+// accepted swap of round r feeds round r+1, so a mismatched bit
 // anywhere compounds into diverging center sets — across dimensions
 // d ∈ {1, 2, 3, 8}, several (k, z) shapes, threads ∈ {1, 2, 8}, and
 // ≥ 3 accepted-swap rounds, on random instances.
 //
 // Also here: the worker-sharded subset enumeration behind
 // ExactUnassignedTiny (ranked unranking vs the serial odometer,
-// including cost ties where the lowest-rank subset must win), and the
-// engine's cache-invalidation discipline (a different dataset through
-// the same evaluator must not reuse tables).
+// including cost ties where the lowest-rank subset must win), and
+// evaluator reuse (a second dataset through the same evaluator scores
+// exactly as a fresh evaluator does).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/unassigned.h"
@@ -56,17 +55,15 @@ uncertain::UncertainDataset MakeDataset(size_t n, size_t dim, size_t z,
   return std::move(exper::MakeInstance(spec)).value();
 }
 
-cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads,
-                                                           bool fast) {
+cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.reference_swap_paths = !fast;
   return options;
 }
 
 // Applies the deterministic round step shared by every trajectory below:
 // the (position, candidate) argmin over all non-identity swaps, accepted
-// unconditionally so every round rolls the tables over.
+// unconditionally so every round scores a new center set.
 void ApplyBestSwap(const std::vector<double>& values,
                    const std::vector<SiteId>& pool,
                    std::vector<SiteId>* centers) {
@@ -88,12 +85,52 @@ void ApplyBestSwap(const std::vector<double>& values,
   (*centers)[best_position] = best_replacement;
 }
 
-// The core property: for a ≥3-accepted-swap trajectory, the incremental
-// engine (rollover + kd pruning) and the full-rebuild/full-scan
-// reference produce bitwise-identical swap matrices at every round and
-// every thread count — and the fast path is additionally bitwise
-// invariant across thread counts.
-TEST(IncrementalSweepTest, TrajectoriesMatchFullRebuildBitwise) {
+// Runs `rounds` rounds from `centers` at every thread count: each
+// thread count's matrices must equal the threads = 1 run's bitwise,
+// and every value of the threads = 1 run must match a linear-path
+// UnassignedCost of its swapped set to 1e-12 relative.
+void ExpectTrajectoryOracles(const uncertain::UncertainDataset& dataset,
+                             const std::vector<SiteId>& centers,
+                             const std::vector<SiteId>& pool, size_t rounds,
+                             const std::string& label) {
+  cost::ExpectedCostEvaluator::Options linear_options;
+  linear_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator linear(linear_options);
+  std::vector<std::vector<double>> serial_rounds;
+  for (int threads : kThreadCounts) {
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads));
+    std::vector<SiteId> trajectory = centers;
+    for (size_t round = 0; round < rounds; ++round) {
+      auto values = parallel.SwapCostMatrix(dataset, trajectory, pool);
+      ASSERT_TRUE(values.ok()) << values.status();
+      ASSERT_EQ(values->size(), trajectory.size() * pool.size());
+      if (threads == kThreadCounts[0]) {
+        for (size_t p = 0; p < trajectory.size(); ++p) {
+          for (size_t c = 0; c < pool.size(); ++c) {
+            std::vector<SiteId> swapped = trajectory;
+            swapped[p] = pool[c];
+            auto full = linear.UnassignedCost(dataset, swapped);
+            ASSERT_TRUE(full.ok()) << full.status();
+            ASSERT_NEAR((*values)[p * pool.size() + c], *full,
+                        1e-12 * (1.0 + std::abs(*full)))
+                << label << " round=" << round << " p=" << p << " c=" << c;
+          }
+        }
+        serial_rounds.push_back(*values);
+      } else {
+        ASSERT_LT(round, serial_rounds.size());
+        ASSERT_EQ(*values, serial_rounds[round])
+            << "thread-count variance: " << label << " threads=" << threads
+            << " round=" << round;
+      }
+      ApplyBestSwap(*values, pool, &trajectory);
+    }
+  }
+}
+
+// The core property over Euclidean instances: ≥ 3 accepted swaps per
+// trajectory, every dimension and shape, every thread count.
+TEST(IncrementalSweepTest, TrajectoriesAreThreadInvariantAndMatchLinearCost) {
   constexpr size_t kRounds = 4;
   struct Shape {
     size_t k;
@@ -112,47 +149,17 @@ TEST(IncrementalSweepTest, TrajectoriesMatchFullRebuildBitwise) {
       for (size_t i = 0; i < 12; ++i) {
         pool.push_back(sites[(i * 131) % sites.size()]);
       }
-
-      // Per-round matrices of the threads=1 fast run, the cross-thread
-      // reference.
-      std::vector<std::vector<double>> fast_rounds;
-      for (int threads : kThreadCounts) {
-        cost::ParallelCandidateEvaluator reference(
-            EvaluatorOptions(threads, /*fast=*/false));
-        cost::ParallelCandidateEvaluator fast(
-            EvaluatorOptions(threads, /*fast=*/true));
-        std::vector<SiteId> centers = gonzalez->centers;
-        for (size_t round = 0; round < kRounds; ++round) {
-          auto expected = reference.SwapCostMatrix(dataset, centers, pool);
-          auto actual = fast.SwapCostMatrix(dataset, centers, pool);
-          ASSERT_TRUE(expected.ok()) << expected.status();
-          ASSERT_TRUE(actual.ok()) << actual.status();
-          ASSERT_EQ(actual->size(), expected->size());
-          for (size_t v = 0; v < expected->size(); ++v) {
-            ASSERT_EQ((*actual)[v], (*expected)[v])
-                << "dim=" << dim << " k=" << shape.k << " z=" << shape.z
-                << " threads=" << threads << " round=" << round
-                << " swap=" << v;
-          }
-          if (threads == 1) {
-            fast_rounds.push_back(*actual);
-          } else {
-            ASSERT_LT(round, fast_rounds.size());
-            ASSERT_EQ(*actual, fast_rounds[round])
-                << "thread-count variance: dim=" << dim
-                << " threads=" << threads << " round=" << round;
-          }
-          ApplyBestSwap(*actual, pool, &centers);
-        }
-      }
+      ExpectTrajectoryOracles(
+          dataset, gonzalez->centers, pool, kRounds,
+          "dim=" + std::to_string(dim) + " k=" + std::to_string(shape.k) +
+              " z=" + std::to_string(shape.z));
     }
   }
 }
 
-// Non-Euclidean spaces have no coordinate arena: the engine must fall
-// back to the full rebuild + full scan and still agree with the
-// explicit reference configuration.
-TEST(IncrementalSweepTest, NonEuclideanMatchesReference) {
+// Non-Euclidean spaces have no coordinate arena: d1 / d2 come from
+// space.Distance, and the same oracles hold.
+TEST(IncrementalSweepTest, NonEuclideanTrajectoryMatchesLinearCost) {
   const auto dataset =
       MakeDataset(40, 2, 3, 7, exper::Family::kGridGraph);
   const auto sites = dataset.LocationSites();
@@ -160,26 +167,15 @@ TEST(IncrementalSweepTest, NonEuclideanMatchesReference) {
   ASSERT_TRUE(gonzalez.ok());
   std::vector<SiteId> pool(sites.begin(),
                            sites.begin() + std::min<size_t>(8, sites.size()));
-  cost::ParallelCandidateEvaluator reference(EvaluatorOptions(1, false));
-  cost::ParallelCandidateEvaluator fast(EvaluatorOptions(1, true));
-  std::vector<SiteId> centers = gonzalez->centers;
-  for (size_t round = 0; round < 3; ++round) {
-    auto expected = reference.SwapCostMatrix(dataset, centers, pool);
-    auto actual = fast.SwapCostMatrix(dataset, centers, pool);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_TRUE(actual.ok()) << actual.status();
-    ASSERT_EQ(*actual, *expected) << "round=" << round;
-    ApplyBestSwap(*actual, pool, &centers);
-  }
+  ExpectTrajectoryOracles(dataset, gonzalez->centers, pool, 3, "grid graph");
 }
 
-// Cache-poisoning property: scoring dataset A, then a same-shaped but
-// different dataset B, through one evaluator must give exactly what a
-// fresh evaluator gives on B — the content fingerprint, not object
-// identity, gates the rollover.
-TEST(IncrementalSweepTest, DatasetChangeInvalidatesRolledTables) {
-  cost::ParallelCandidateEvaluator shared(EvaluatorOptions(1, true));
-  std::vector<double> fresh_values;
+// Reuse property: scoring dataset A, then a same-shaped but different
+// dataset B, through one evaluator gives exactly what a fresh evaluator
+// gives on B — nothing the first call leaves behind leaks into the
+// second.
+TEST(IncrementalSweepTest, ReusedEvaluatorMatchesFreshOnNextDataset) {
+  cost::ParallelCandidateEvaluator shared(EvaluatorOptions(1));
   for (uint64_t seed : {500u, 501u}) {
     const auto dataset = MakeDataset(50, 2, 3, seed);
     const auto sites = dataset.LocationSites();
@@ -189,44 +185,11 @@ TEST(IncrementalSweepTest, DatasetChangeInvalidatesRolledTables) {
                              sites.begin() + std::min<size_t>(10, sites.size()));
     auto shared_result =
         shared.SwapCostMatrix(dataset, gonzalez->centers, pool);
-    cost::ParallelCandidateEvaluator fresh(EvaluatorOptions(1, true));
+    cost::ParallelCandidateEvaluator fresh(EvaluatorOptions(1));
     auto fresh_result = fresh.SwapCostMatrix(dataset, gonzalez->centers, pool);
     ASSERT_TRUE(shared_result.ok()) << shared_result.status();
     ASSERT_TRUE(fresh_result.ok()) << fresh_result.status();
     EXPECT_EQ(*shared_result, *fresh_result) << "seed=" << seed;
-  }
-}
-
-// The full consumer: LocalSearchUnassigned through the incremental
-// engine versus the reference paths — identical trajectory (centers,
-// cost, swap count) at every thread count.
-TEST(IncrementalSweepTest, LocalSearchTrajectoryMatchesReferencePaths) {
-  std::vector<SiteId> reference_centers;
-  double reference_cost = 0.0;
-  size_t reference_swaps = 0;
-  bool have_reference = false;
-  for (int threads : kThreadCounts) {
-    for (bool reference_paths : {true, false}) {
-      auto dataset = MakeDataset(60, 2, 3, 19);
-      core::UnassignedSearchOptions options;
-      options.k = 3;
-      options.max_swaps = 10;
-      options.threads = threads;
-      options.reference_swap_paths = reference_paths;
-      auto solution = core::LocalSearchUnassigned(&dataset, options);
-      ASSERT_TRUE(solution.ok()) << solution.status();
-      if (!have_reference) {
-        reference_centers = solution->centers;
-        reference_cost = solution->expected_cost;
-        reference_swaps = solution->swaps;
-        have_reference = true;
-        continue;
-      }
-      EXPECT_EQ(solution->centers, reference_centers)
-          << "threads=" << threads << " reference=" << reference_paths;
-      EXPECT_EQ(solution->expected_cost, reference_cost);
-      EXPECT_EQ(solution->swaps, reference_swaps);
-    }
   }
 }
 

@@ -6,9 +6,10 @@
 //    events[deepest.index, rung.index)) must be bitwise identical to
 //    the full 7-rung reference, including on swap matrices whose
 //    candidates force escalations;
-//  * a single-stale-table swap round on a large dataset shards over
-//    the per-worker evaluators and must match a fresh from-scratch
-//    build (the oracle) at every thread count.
+//  * a second swap round on a large dataset, through an evaluator that
+//    already scored the first, shards over the per-worker evaluators
+//    and must match a fresh evaluator's build (the oracle) at every
+//    thread count.
 
 #include <gtest/gtest.h>
 
@@ -210,11 +211,11 @@ TEST(SwapLadderTest, LadderMemoryDropsAtLeast3x) {
       << "full=" << full_bytes << " compact=" << compact_bytes;
 }
 
-// A one-swap round at k = 2 on a dataset above 32768 events — whose
-// only stale table is the position that does not hold the swapped
-// center — must score identically at every thread count and match a
-// from-scratch build.
-TEST(SwapLadderTest, SingleStaleRoundMatchesFreshBuild) {
+// The round after a one-center swap at k = 2, on a dataset above 32768
+// events, scored through an evaluator that already scored the round
+// before, must score identically at every thread count and match a
+// fresh evaluator.
+TEST(SwapLadderTest, ReusedRoundMatchesFreshBuild) {
   const auto dataset = MakeDataset(9000, 2, 4, 77);  // 36000 locations.
   ASSERT_GE(dataset.total_locations(), 32768u);
   const auto sites = dataset.LocationSites();

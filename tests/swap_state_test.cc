@@ -2,16 +2,14 @@
 // nearest distance d1, its position owner and the second-nearest d2
 // stand in for k per-center distance rows. This suite pins what that
 // bookkeeping must keep:
-//  * the registry counts it emits — per-table rollover outcomes
-//    (ukc_swap_tables_total) and tail-merge events
-//    (ukc_swap_tail_events_total) — are pure functions of the
-//    trajectory, equal at every thread count;
+//  * the tail-merge event count it emits (ukc_swap_tail_events_total)
+//    is a pure function of the trajectory, equal at every thread count;
 //  * its memory is linear in the number of locations with no k×N
-//    double array beyond the base and bound rows;
+//    double array beyond the base rows;
 //  * the degenerate shapes of the d1 / d2 split — one center, two
 //    centers at the same coordinates, a candidate cloning a center —
-//    and streams patched across exactly tied distances score bitwise
-//    like the reference paths and to rounding like a fresh
+//    and streams sorted across exactly tied distances score bitwise
+//    alike at every thread count and to rounding like a fresh
 //    UnassignedCost of the swapped set.
 
 #include <gtest/gtest.h>
@@ -55,16 +53,14 @@ uncertain::UncertainDataset MakeDataset(size_t n, size_t z, uint64_t seed,
   return std::move(exper::MakeInstance(spec)).value();
 }
 
-cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads,
-                                                           bool fast) {
+cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.reference_swap_paths = !fast;
   return options;
 }
 
 // The argmin non-identity swap, accepted unconditionally so every round
-// rolls the tables over.
+// scores a new center set.
 void ApplyBestSwap(const std::vector<double>& values,
                    const std::vector<SiteId>& pool,
                    std::vector<SiteId>* centers) {
@@ -86,26 +82,12 @@ void ApplyBestSwap(const std::vector<double>& values,
   (*centers)[best_position] = best_replacement;
 }
 
-uint64_t CounterDelta(const obs::RegistrySnapshot& before,
-                      const obs::RegistrySnapshot& after, const char* name,
-                      obs::LabelList labels = {}) {
-  const auto value = [&](const obs::RegistrySnapshot& snapshot) -> uint64_t {
-    if (labels.empty()) return snapshot.CounterTotal(name);
-    const obs::MetricSnapshot* metric = snapshot.Find(name, labels);
-    return metric == nullptr ? 0 : metric->counter_value;
-  };
-  return value(after) - value(before);
-}
-
 struct TrajectoryCounts {
-  uint64_t kept = 0;
-  uint64_t patched = 0;
-  uint64_t rebuilt = 0;
   uint64_t tail_events = 0;
   std::vector<std::vector<double>> rounds;
 };
 
-// A fixed fast-path trajectory: `rounds` SwapCostMatrix calls from the
+// A fixed trajectory: `rounds` SwapCostMatrix calls from the
 // Gonzalez seed, with the registry deltas of the whole run (gtest runs
 // this binary's tests one at a time, so the deltas are this run's).
 TrajectoryCounts RunTrajectory(const uncertain::UncertainDataset& dataset,
@@ -118,7 +100,7 @@ TrajectoryCounts RunTrajectory(const uncertain::UncertainDataset& dataset,
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   const obs::RegistrySnapshot before = registry.Snapshot();
-  cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads, true));
+  cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads));
   TrajectoryCounts counts;
   for (size_t round = 0; round < rounds; ++round) {
     auto values = parallel.SwapCostMatrix(dataset, centers, pool);
@@ -127,38 +109,10 @@ TrajectoryCounts RunTrajectory(const uncertain::UncertainDataset& dataset,
     ApplyBestSwap(*values, pool, &centers);
     counts.rounds.push_back(std::move(values).value());
   }
-  const obs::RegistrySnapshot after = registry.Snapshot();
-  counts.kept = CounterDelta(before, after, "ukc_swap_tables_total",
-                             {{"outcome", "kept"}});
-  counts.patched = CounterDelta(before, after, "ukc_swap_tables_total",
-                                {{"outcome", "patched"}});
-  counts.rebuilt = CounterDelta(before, after, "ukc_swap_tables_total",
-                                {{"outcome", "rebuilt"}});
   counts.tail_events =
-      CounterDelta(before, after, "ukc_swap_tail_events_total");
+      registry.Snapshot().CounterTotal("ukc_swap_tail_events_total") -
+      before.CounterTotal("ukc_swap_tail_events_total");
   return counts;
-}
-
-// Every table of every round lands in exactly one outcome, the first
-// round rebuilds all k, later rounds keep the swapped position's table,
-// and the split is the same at every thread count — as are the swap
-// matrices.
-TEST(SwapStateTest, TableOutcomeCountsAreThreadCountInvariant) {
-  constexpr size_t kK = 8;
-  constexpr size_t kRounds = 4;
-  const auto dataset = MakeDataset(1500, 4, 17);
-  const TrajectoryCounts serial = RunTrajectory(dataset, kK, kRounds, 1);
-  EXPECT_EQ(serial.kept + serial.patched + serial.rebuilt, kK * kRounds);
-  EXPECT_GE(serial.rebuilt, kK);
-  EXPECT_GE(serial.kept, kRounds - 1);
-  EXPECT_GT(serial.patched, 0u) << "the trajectory never exercised a patch";
-  for (int threads : kThreadCounts) {
-    const TrajectoryCounts run = RunTrajectory(dataset, kK, kRounds, threads);
-    EXPECT_EQ(run.kept, serial.kept) << "threads=" << threads;
-    EXPECT_EQ(run.patched, serial.patched) << "threads=" << threads;
-    EXPECT_EQ(run.rebuilt, serial.rebuilt) << "threads=" << threads;
-    EXPECT_EQ(run.rounds, serial.rounds) << "threads=" << threads;
-  }
 }
 
 // The tail merge walks a per-candidate number of events, so their sum
@@ -170,13 +124,13 @@ TEST(SwapStateTest, TailEventCountIsThreadCountInvariant) {
   for (int threads : kThreadCounts) {
     const TrajectoryCounts run = RunTrajectory(dataset, 6, 3, threads);
     EXPECT_EQ(run.tail_events, serial.tail_events) << "threads=" << threads;
+    EXPECT_EQ(run.rounds, serial.rounds) << "threads=" << threads;
   }
 }
 
 // SwapStateBytes per location is flat in n, and the state outside the
-// event streams and ladders (SwapBaseMemoryBytes) is the two k-row
-// double tables plus O(N): a re-added k×N double array breaks the
-// (16k + 32)·N bound.
+// event streams and ladders (SwapBaseMemoryBytes) is the k base rows
+// plus O(N): a second k×N double array breaks the (8k + 32)·N bound.
 TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
   constexpr size_t kK = 8;
   std::vector<double> bytes_per_location;
@@ -188,7 +142,7 @@ TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
         std::move(solver::Gonzalez(dataset.space(), sites, kK)).value().centers;
     std::vector<SiteId> pool;
     for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
-    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(2, true));
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(2));
     for (size_t round = 0; round < 2; ++round) {
       auto values = parallel.SwapCostMatrix(dataset, centers, pool);
       ASSERT_TRUE(values.ok()) << values.status();
@@ -197,7 +151,7 @@ TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
     const size_t state = parallel.SwapStateBytes();
     const size_t streams = parallel.SwapBaseMemoryBytes();
     ASSERT_GT(state, streams);
-    EXPECT_LE(state - streams, (16 * kK + 32) * total) << "n=" << n;
+    EXPECT_LE(state - streams, (8 * kK + 32) * total) << "n=" << n;
     bytes_per_location.push_back(static_cast<double>(state) /
                                  static_cast<double>(total));
   }
@@ -251,9 +205,9 @@ CloneInstance MakeCloneInstance(size_t n, size_t z, size_t clones,
 }
 
 // Points whose locations sit on an integer grid, so many locations
-// share coordinates and many distances tie exactly: the order of tied
-// entries in a patched stream must be the full sort's (value,
-// location) order.
+// share coordinates and many distances tie exactly: tied entries must
+// sort and replay in one (value, location) order at every thread
+// count.
 uncertain::UncertainDataset MakeGridInstance(size_t n, size_t z,
                                              uint64_t seed) {
   auto space = std::make_shared<metric::EuclideanSpace>(2);
@@ -276,11 +230,10 @@ uncertain::UncertainDataset MakeGridInstance(size_t n, size_t z,
       .value();
 }
 
-// Runs `rounds` rounds from `centers` on the fast and the reference
-// paths at every thread count: the fast matrices must equal the
-// reference bitwise, every thread count must agree bitwise, and each
-// value must match a fresh linear UnassignedCost of the swapped set to
-// rounding (parallel_eval_test's tolerance).
+// Runs `rounds` rounds from `centers` at every thread count: every
+// thread count must agree bitwise, and each value must match a fresh
+// linear UnassignedCost of the swapped set to rounding
+// (parallel_eval_test's tolerance).
 void ExpectSwapParity(const uncertain::UncertainDataset& dataset,
                       std::vector<SiteId> centers,
                       const std::vector<SiteId>& pool, size_t rounds,
@@ -290,16 +243,11 @@ void ExpectSwapParity(const uncertain::UncertainDataset& dataset,
   cost::ExpectedCostEvaluator linear(linear_options);
   std::vector<std::vector<double>> serial_rounds;
   for (int threads : kThreadCounts) {
-    cost::ParallelCandidateEvaluator fast(EvaluatorOptions(threads, true));
-    cost::ParallelCandidateEvaluator reference(EvaluatorOptions(threads, false));
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads));
     std::vector<SiteId> trajectory = centers;
     for (size_t round = 0; round < rounds; ++round) {
-      auto want = reference.SwapCostMatrix(dataset, trajectory, pool);
-      auto got = fast.SwapCostMatrix(dataset, trajectory, pool);
-      ASSERT_TRUE(want.ok()) << want.status();
+      auto got = parallel.SwapCostMatrix(dataset, trajectory, pool);
       ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*got, *want) << label << " threads=" << threads
-                             << " round=" << round;
       if (threads == kThreadCounts[0]) {
         serial_rounds.push_back(*got);
         for (size_t p = 0; p < trajectory.size(); ++p) {
@@ -321,10 +269,8 @@ void ExpectSwapParity(const uncertain::UncertainDataset& dataset,
   }
 }
 
-TEST(SwapStateTest, PatchedStreamsWithTiedDistancesMatchReference) {
+TEST(SwapStateTest, TiedDistancesMatchLinearCost) {
   const auto dataset = MakeGridInstance(1500, 4, 71);
-  const TrajectoryCounts counts = RunTrajectory(dataset, 8, 4, 1);
-  EXPECT_GT(counts.patched, 0u) << "the trajectory never exercised a patch";
   const auto sites = dataset.LocationSites();
   std::vector<SiteId> pool;
   for (size_t i = 0; i < 24; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
@@ -334,7 +280,7 @@ TEST(SwapStateTest, PatchedStreamsWithTiedDistancesMatchReference) {
       pool, 4, "integer grid");
 }
 
-TEST(SwapStateTest, SingleCenterMatchesReference) {
+TEST(SwapStateTest, SingleCenterMatchesLinearCost) {
   // k = 1: d2 is +inf everywhere, so the only base row is all +inf.
   for (exper::Family family :
        {exper::Family::kClustered, exper::Family::kGridGraph}) {
@@ -348,7 +294,7 @@ TEST(SwapStateTest, SingleCenterMatchesReference) {
   }
 }
 
-TEST(SwapStateTest, CoincidentCentersMatchReference) {
+TEST(SwapStateTest, CoincidentCentersMatchLinearCost) {
   // Two centers at identical coordinates: every location's nearest
   // distance is tied, so d2 == d1 and both base rows are the full
   // set's distances.
@@ -361,7 +307,7 @@ TEST(SwapStateTest, CoincidentCentersMatchReference) {
                    "coincident k=2");
 }
 
-TEST(SwapStateTest, CandidateCloningACenterMatchesReference) {
+TEST(SwapStateTest, CandidateCloningACenterMatchesLinearCost) {
   // The pool holds a distinct site at a center's exact coordinates:
   // that swap leaves every distance unchanged.
   const CloneInstance instance = MakeCloneInstance(150, 3, 3, 67);
