@@ -15,7 +15,9 @@
 //   --solver     gonzalez | hochbaum-shmoys | gonzalez-refined | exact
 //   --unassigned also evaluate the unassigned objective
 //   --mc         Monte-Carlo cross-check samples (0 = off)
-//   --threads    worker threads for the parallel stages
+//   --threads    size of the one worker pool every parallel stage
+//                borrows (<= 0 = hardware threads); answers do not
+//                depend on it
 //   --metrics-out  write the run's metrics registry (src/obs/) to this
 //                  file on exit: Prometheus text, or JSON when the
 //                  path ends in .json
@@ -69,6 +71,7 @@
 #include "common/deadline.h"
 #include "common/flags.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "core/uncertain_kcenter.h"
 #include "cost/expected_cost.h"
 #include "exper/instances.h"
@@ -435,6 +438,9 @@ int main(int argc, char** argv) {
     return WriteMetricsFile(metrics_out);
   }
 
+  // One worker pool for the run, lent to every stage that parallelizes.
+  ukc::ThreadPool pool(static_cast<int>(threads));
+
   // Streaming mode: the file path never materializes the dataset; the
   // generated path materializes it once and streams it through the same
   // chunked pipeline (which then also reports the exact cost).
@@ -467,7 +473,7 @@ int main(int argc, char** argv) {
     }
     ukc::stream::StreamingOptions options;
     options.k = static_cast<size_t>(k);
-    options.threads = static_cast<int>(threads);
+    options.pool = &pool;
     options.ingest.chunk_size = static_cast<size_t>(chunk_size);
     options.ingest.shards = static_cast<int>(shards);
     options.ingest.coreset.max_cells = static_cast<size_t>(max_cells);
@@ -553,7 +559,7 @@ int main(int argc, char** argv) {
   ukc::core::UncertainKCenterOptions options;
   options.k = static_cast<size_t>(k);
   options.evaluate_unassigned = unassigned;
-  options.threads = static_cast<int>(threads);
+  options.pool = &pool;
   if (rule == "ED") {
     options.rule = ukc::cost::AssignmentRule::kExpectedDistance;
   } else if (rule == "EP") {

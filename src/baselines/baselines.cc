@@ -36,14 +36,14 @@ namespace {
 Result<BaselineResult> FinishWithED(const uncertain::UncertainDataset& dataset,
                                     cost::ExpectedCostEvaluator* evaluator,
                                     std::string name,
-                                    std::vector<SiteId> centers, int threads,
-                                    ThreadPool* shared_pool) {
+                                    std::vector<SiteId> centers,
+                                    ThreadPool* pool) {
   BaselineResult result;
   result.name = std::move(name);
   result.centers = std::move(centers);
   UKC_ASSIGN_OR_RETURN(result.assignment,
                        cost::AssignExpectedDistance(dataset, result.centers,
-                                                    threads, shared_pool));
+                                                    pool));
   UKC_ASSIGN_OR_RETURN(result.expected_cost,
                        evaluator->AssignedCost(dataset, result.assignment));
   return result;
@@ -71,10 +71,10 @@ std::vector<uncertain::Location> TruncatedCore(
 // are computed in parallel (pure reads); Euclidean surrogates are
 // minted into the space serially afterwards, in point order.
 Result<std::vector<SiteId>> TruncatedMedianSurrogates(
-    uncertain::UncertainDataset* dataset, double delta, int threads,
+    uncertain::UncertainDataset* dataset, double delta,
     ThreadPool* shared_pool) {
   const size_t n = dataset->n();
-  ScopedPool pool(shared_pool, threads);
+  ScopedPool pool(shared_pool, 1);
   if (dataset->is_euclidean()) {
     metric::EuclideanSpace* space = dataset->euclidean();
     std::vector<geometry::Point> medians(n);
@@ -149,13 +149,11 @@ Result<BaselineResult> RunBaseline(uncertain::UncertainDataset* dataset,
       UKC_ASSIGN_OR_RETURN(solver::KCenterSolution certain,
                            solver::Gonzalez(space, pool, options.k));
       return FinishWithED(*dataset, &evaluator, BaselineKindToString(kind),
-                          std::move(certain.centers), options.threads,
-                          options.pool);
+                          std::move(certain.centers), options.pool);
     }
     case BaselineKind::kModalLocation: {
       core::SurrogateOptions surrogate_options;
       surrogate_options.kind = core::SurrogateKind::kModal;
-      surrogate_options.threads = options.threads;
       surrogate_options.pool = options.pool;
       UKC_ASSIGN_OR_RETURN(std::vector<SiteId> modal,
                            core::BuildSurrogates(dataset, surrogate_options));
@@ -178,7 +176,7 @@ Result<BaselineResult> RunBaseline(uncertain::UncertainDataset* dataset,
       rng.Shuffle(&shuffled);
       shuffled.resize(std::min<size_t>(options.k, shuffled.size()));
       return FinishWithED(*dataset, &evaluator, BaselineKindToString(kind),
-                          std::move(shuffled), options.threads, options.pool);
+                          std::move(shuffled), options.pool);
     }
     case BaselineKind::kTruncatedMedian: {
       if (!(options.truncation_delta >= 0.0) || options.truncation_delta >= 1.0) {
@@ -188,12 +186,11 @@ Result<BaselineResult> RunBaseline(uncertain::UncertainDataset* dataset,
       UKC_ASSIGN_OR_RETURN(
           std::vector<SiteId> surrogates,
           TruncatedMedianSurrogates(dataset, options.truncation_delta,
-                                    options.threads, options.pool));
+                                    options.pool));
       UKC_ASSIGN_OR_RETURN(solver::KCenterSolution certain,
                            solver::Gonzalez(space, surrogates, options.k));
       return FinishWithED(*dataset, &evaluator, BaselineKindToString(kind),
-                          std::move(certain.centers), options.threads,
-                          options.pool);
+                          std::move(certain.centers), options.pool);
     }
   }
   return Status::Internal("RunBaseline: unknown baseline kind");

@@ -48,12 +48,9 @@ struct BaselineOptions {
   uint64_t seed = 5;
   /// Tail mass dropped by kTruncatedMedian.
   double truncation_delta = 0.25;
-  /// Workers sharding the per-point surrogate computation and the ED
-  /// assignment (<= 0 = hardware threads). Results do not depend on
-  /// this.
-  int threads = 1;
-  /// Borrowed shared worker pool; when set, `threads` is ignored and no
-  /// private pool is constructed (see ScopedPool in common/thread_pool.h).
+  /// Borrowed worker pool sharding the per-point surrogate computation
+  /// and the ED assignment; null runs them inline on the calling
+  /// thread. Results do not depend on the pool.
   ThreadPool* pool = nullptr;
 };
 

@@ -102,14 +102,16 @@ class ThreadPool {
   size_t job_exception_count_ = 0;     // Guarded by mutex_.
 };
 
-/// Borrow-or-own resolver for the `ThreadPool* pool` hook carried by
-/// the option structs (SurrogateOptions, RefineOptions, ...): when the
-/// caller supplies a shared pool it is borrowed as-is (its thread count
-/// wins and `threads` is ignored), otherwise a private pool of
-/// `threads` workers is constructed for the duration of the call. This
-/// is how a pipeline pays the worker spawn cost once instead of once
-/// per stage. The same nesting rule as ThreadPool applies: a shared
-/// pool must not be used from inside one of its own ParallelFor jobs.
+/// Borrow-or-inline resolver for the `ThreadPool* pool` hook carried by
+/// the option structs (SurrogateOptions, RefineOptions, ...). A caller
+/// hands a solver workers only by lending it a pool; a null pool runs
+/// the work inline on the calling thread. The facades get that
+/// fallback as ScopedPool(options.pool, 1): a one-worker pool spawns
+/// no thread. When `shared` is null a private pool of `threads`
+/// workers is constructed for the duration of the call; only
+/// ParallelCandidateEvaluator::Options::threads passes anything but 1.
+/// The same nesting rule as ThreadPool applies: a shared pool must not
+/// be used from inside one of its own ParallelFor jobs.
 class ScopedPool {
  public:
   ScopedPool(ThreadPool* shared, int threads)

@@ -102,7 +102,7 @@ Result<std::vector<SiteId>> BuildSurrogates(uncertain::UncertainDataset* dataset
     return Status::FailedPrecondition(
         "expected-point surrogate requires a Euclidean space");
   }
-  ScopedPool pool(options.pool, options.threads);
+  ScopedPool pool(options.pool, 1);
 
   // Euclidean surrogates are new points: compute every point's
   // coordinates in parallel (pure reads of the arena), then mint them

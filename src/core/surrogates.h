@@ -55,13 +55,10 @@ enum class OneCenterCandidates {
 struct SurrogateOptions {
   SurrogateKind kind = SurrogateKind::kExpectedPoint;
   OneCenterCandidates candidates = OneCenterCandidates::kAllSites;
-  /// Workers sharding the per-point surrogate computation (<= 0 =
-  /// hardware threads). Surrogates are computed in parallel but minted
-  /// into the space serially in point order, so the produced site ids
-  /// and coordinates do not depend on the thread count.
-  int threads = 1;
-  /// Borrowed shared worker pool; when set, `threads` is ignored and no
-  /// private pool is constructed (see ScopedPool in common/thread_pool.h).
+  /// Borrowed worker pool sharding the per-point surrogate computation;
+  /// null runs it inline on the calling thread. Surrogates are computed
+  /// in parallel but minted into the space serially in point order, so
+  /// the produced site ids and coordinates do not depend on the pool.
   ThreadPool* pool = nullptr;
 };
 

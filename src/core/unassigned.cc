@@ -15,7 +15,7 @@ using metric::SiteId;
 
 Result<UnassignedSolution> ExactUnassignedTiny(
     const uncertain::UncertainDataset& dataset, size_t k,
-    const std::vector<SiteId>& candidates, uint64_t max_subsets, int threads,
+    const std::vector<SiteId>& candidates, uint64_t max_subsets,
     ThreadPool* pool) {
   if (k == 0 || k > candidates.size()) {
     return Status::InvalidArgument(
@@ -36,7 +36,7 @@ Result<UnassignedSolution> ExactUnassignedTiny(
   // the same strict <, which reproduces a serial first-minimum scan
   // exactly (ties resolve to the lowest rank).
   cost::ParallelCandidateEvaluator::Options parallel_options;
-  parallel_options.threads = threads;
+  parallel_options.threads = 1;  // A null pool runs inline.
   parallel_options.pool = pool;
   cost::ParallelCandidateEvaluator parallel(parallel_options);
   constexpr uint64_t kRanksPerTask = 256;
@@ -127,7 +127,7 @@ Result<UnassignedSolution> LocalSearchUnassigned(
   // evaluations too, so the running cost and the swap values come from
   // identical (linear-path) arithmetic.
   cost::ParallelCandidateEvaluator::Options parallel_options;
-  parallel_options.threads = options.threads;
+  parallel_options.threads = 1;  // A null pool runs inline.
   parallel_options.pool = options.pool;
   parallel_options.evaluator.kdtree_cutover =
       std::numeric_limits<size_t>::max();

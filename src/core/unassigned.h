@@ -50,14 +50,13 @@ struct UnassignedSolution {
 /// enumerator feeds the workers. Per-task minima are reduced in rank
 /// order with a strict <, so the selected subset — including on cost
 /// ties, where the lexicographically first subset wins — and the
-/// returned cost are bitwise independent of `threads` (<= 0 = hardware
-/// threads) and identical to a serial scan. `pool`, when set, is
-/// borrowed and `threads` is ignored (see ScopedPool).
+/// returned cost are bitwise independent of the borrowed `pool` and
+/// identical to a serial scan. A null `pool` runs the enumeration
+/// inline on the calling thread.
 Result<UnassignedSolution> ExactUnassignedTiny(
     const uncertain::UncertainDataset& dataset, size_t k,
     const std::vector<metric::SiteId>& candidates,
-    uint64_t max_subsets = 2'000'000, int threads = 1,
-    ThreadPool* pool = nullptr);
+    uint64_t max_subsets = 2'000'000, ThreadPool* pool = nullptr);
 
 /// Options for LocalSearchUnassigned.
 struct UnassignedSearchOptions {
@@ -66,12 +65,10 @@ struct UnassignedSearchOptions {
   /// plus the pipeline's surrogates.
   std::vector<metric::SiteId> candidates;
   size_t max_swaps = 200;
-  /// Workers scoring the swap candidates of each round (<= 0 =
-  /// hardware threads). The chosen swaps do not depend on this.
-  int threads = 1;
-  /// Borrowed shared worker pool; when set, `threads` is ignored and no
-  /// private pool is constructed (see ScopedPool in common/thread_pool.h).
-  /// Also forwarded to the seeding pipeline unless it sets its own.
+  /// Borrowed worker pool scoring the swap candidates of each round;
+  /// null runs them inline on the calling thread. The chosen swaps do
+  /// not depend on the pool. Also forwarded to the seeding pipeline
+  /// unless it sets its own.
   ThreadPool* pool = nullptr;
   /// Cancellation/budget token checked before the seed solve and at
   /// every swap round (plus per candidate inside the evaluators it is

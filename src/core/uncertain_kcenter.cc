@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "cost/expected_cost.h"
 
 namespace ukc {
@@ -35,19 +34,13 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
   UncertainKCenterSolution solution;
   solution.unassigned_cost = std::nan("");
 
-  // One worker pool for the whole run: borrowed from the caller when
-  // options.pool is set, otherwise constructed once here and shared by
-  // the surrogate and assignment stages (threads = 1 stays a zero-cost
-  // inline pool).
-  ScopedPool pool(options.pool, options.threads);
-
   // 1. Surrogates.
   UKC_RETURN_IF_ERROR(options.deadline.Check("SolveUncertainKCenter[surrogates]"));
   Stopwatch stopwatch;
   SurrogateOptions surrogate_options;
   surrogate_options.kind = surrogate_kind;
   surrogate_options.candidates = options.one_center_candidates;
-  surrogate_options.pool = pool.get();
+  surrogate_options.pool = options.pool;
   UKC_ASSIGN_OR_RETURN(solution.surrogates,
                        BuildSurrogates(dataset, surrogate_options));
   solution.timings.surrogate_seconds = stopwatch.ElapsedSeconds();
@@ -58,7 +51,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
   stopwatch.Reset();
   metric::MetricSpace* space = dataset->shared_space().get();
   solver::CertainSolverOptions certain_options = options.certain;
-  if (certain_options.pool == nullptr) certain_options.pool = pool.get();
+  if (certain_options.pool == nullptr) certain_options.pool = options.pool;
   UKC_ASSIGN_OR_RETURN(
       solver::KCenterSolution certain,
       solver::SolveCertainKCenter(space, solution.surrogates, options.k,
@@ -77,7 +70,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
       UKC_ASSIGN_OR_RETURN(
           solution.assignment,
           cost::AssignExpectedDistance(*dataset, solution.centers,
-                                       options.threads, pool.get()));
+                                       options.pool));
       break;
     }
     case cost::AssignmentRule::kExpectedPoint: {
@@ -89,7 +82,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
       } else {
         SurrogateOptions ep_options;
         ep_options.kind = SurrogateKind::kExpectedPoint;
-        ep_options.pool = pool.get();
+        ep_options.pool = options.pool;
         UKC_ASSIGN_OR_RETURN(expected_points,
                              BuildSurrogates(dataset, ep_options));
       }
@@ -106,7 +99,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
         SurrogateOptions oc_options;
         oc_options.kind = SurrogateKind::kOneCenter;
         oc_options.candidates = options.one_center_candidates;
-        oc_options.pool = pool.get();
+        oc_options.pool = options.pool;
         UKC_ASSIGN_OR_RETURN(one_centers, BuildSurrogates(dataset, oc_options));
       }
       UKC_ASSIGN_OR_RETURN(

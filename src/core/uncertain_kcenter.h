@@ -45,14 +45,10 @@ struct UncertainKCenterOptions {
   /// Also evaluate the unassigned cost E[max_i d(P̂_i, C)] (the min is
   /// taken inside the expectation). Costs one extra exact sweep.
   bool evaluate_unassigned = false;
-  /// Workers sharding the surrogate construction and the ED assignment
-  /// (<= 0 = hardware threads). The solution does not depend on this.
-  int threads = 1;
-  /// Borrowed shared worker pool. When set, `threads` is ignored and
-  /// every stage of the run (surrogates, assignment) shares this pool
-  /// instead of constructing private ones — the hook LocalSearchUnassigned
-  /// (core/unassigned.h) uses to run its seed solve on its own pool; the
-  /// baselines (baselines/baselines.h) borrow a pool the same way.
+  /// Borrowed worker pool shared by every stage of the run (surrogates,
+  /// clustering, assignment); null runs them inline on the calling
+  /// thread. The solution does not depend on the pool. LocalSearchUnassigned
+  /// (core/unassigned.h) forwards its own pool here for the seed solve.
   ThreadPool* pool = nullptr;
   /// Cancellation/budget token checked between pipeline phases
   /// (surrogates → clustering → assignment → evaluation) and inside

@@ -24,13 +24,12 @@ std::string AssignmentRuleToString(AssignmentRule rule) {
 
 Result<Assignment> AssignExpectedDistance(
     const uncertain::UncertainDataset& dataset,
-    const std::vector<metric::SiteId>& centers, int threads,
-    ThreadPool* shared_pool) {
+    const std::vector<metric::SiteId>& centers, ThreadPool* shared_pool) {
   if (centers.empty()) {
     return Status::InvalidArgument("AssignExpectedDistance: no centers");
   }
   Assignment assignment(dataset.n(), metric::kInvalidSite);
-  ScopedPool pool(shared_pool, threads);
+  ScopedPool pool(shared_pool, 1);
   const metric::EuclideanSpace* euclidean = dataset.euclidean();
   if (euclidean != nullptr) {
     // Flat path: gather the center coordinates once, then the O(n z k)

@@ -37,13 +37,11 @@ std::string AssignmentRuleToString(AssignmentRule rule);
 
 /// ED rule: assigns each point to the center minimizing its expected
 /// distance. O(n z k) distance evaluations; the per-point argmins are
-/// independent and shard over `threads` workers (<= 0 = hardware
-/// threads) with a thread-count-independent result. When `pool` is set
-/// it is borrowed instead of constructing a private pool and `threads`
-/// is ignored (see ScopedPool in common/thread_pool.h).
+/// independent and shard over the borrowed `pool` (null runs them
+/// inline on the calling thread). The result does not depend on the
+/// pool.
 Result<Assignment> AssignExpectedDistance(const uncertain::UncertainDataset& dataset,
                                           const std::vector<metric::SiteId>& centers,
-                                          int threads = 1,
                                           ThreadPool* pool = nullptr);
 
 /// Surrogate rule (EP/OC): assigns point i to the center nearest to

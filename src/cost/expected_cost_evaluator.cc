@@ -857,11 +857,13 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
   product.zeros = level->zeros;
   product.mantissa = level->mantissa;
   product.exponent = level->exponent;
-  changed_tail_.clear();
   // changed_ is in ascending location order, so a point's entries are
   // consecutive: mass newly dropping below the threshold is accumulated
   // per point-run and folded into the product once per point instead of
-  // once per event (the expensive part of Apply is the division).
+  // once per event (the expensive part of Apply is the division). The
+  // tail-merge events are compacted to the front of changed_ as they
+  // are read (the write index never passes the read index); their
+  // locations stay stamped, so the merge still skips them in the base.
   uint32_t run_point = 0;
   double run_delta = 0.0;
   const auto flush_run = [&] {
@@ -872,9 +874,10 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
     product.Apply(old_cdf, new_cdf);
     run_delta = 0.0;
   };
+  size_t tail = 0;
   for (const auto& [d, l] : changed_) {
     if (d >= threshold) {
-      changed_tail_.emplace_back(d, l);
+      changed_[tail++] = {d, l};
       continue;
     }
     if (base_distances[l] >= threshold) {
@@ -885,10 +888,10 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
     }
   }
   flush_run();
-  std::sort(changed_tail_.begin(), changed_tail_.end());
-  return MergeSweepFrom(dataset, base, level->index, changed_tail_,
-                        point_of, product.zeros, product.mantissa,
-                        product.exponent);
+  changed_.resize(tail);
+  std::sort(changed_.begin(), changed_.end());
+  return MergeSweepFrom(dataset, base, level->index, changed_, point_of,
+                        product.zeros, product.mantissa, product.exponent);
 }
 
 void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
@@ -896,7 +899,6 @@ void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
   events_scratch_.reserve(total_locations);
   cdf_.reserve(n);
   changed_.reserve(total_locations);
-  changed_tail_.reserve(total_locations);
   swap_first_.reserve(n);
   swap_order_.reserve(n);
   scratch_reservation_ = std::max(scratch_reservation_, total_locations);

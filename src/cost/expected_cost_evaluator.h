@@ -383,12 +383,11 @@ class ExpectedCostEvaluator {
   uint64_t derived_build_id_ = 0;
   int derived_level_ = -1;
 
-  // Presorted-swap scratch: the candidate's improved locations, the
-  // subset participating in the tail merge, and version-stamped
-  // membership masks — per location, and per point for the
-  // bottleneck-hit count (avoids an O(N) clear per call).
+  // Presorted-swap scratch: the candidate's improved locations (cut
+  // down in place to the subset participating in the tail merge), and
+  // version-stamped membership masks — per location, and per point for
+  // the bottleneck-hit count (avoids an O(N) clear per call).
   std::vector<std::pair<double, uint32_t>> changed_;
-  std::vector<std::pair<double, uint32_t>> changed_tail_;
   std::vector<uint32_t> changed_stamp_;
   std::vector<uint32_t> point_stamp_;
   std::vector<double> point_min_;  // Stamped per-point improved minimum.

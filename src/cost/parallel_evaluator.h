@@ -58,7 +58,10 @@ namespace cost {
 class ParallelCandidateEvaluator {
  public:
   struct Options {
-    /// Worker count; <= 0 means ThreadPool::HardwareThreads().
+    /// Size of the private pool built when `pool` is null; <= 0 means
+    /// ThreadPool::HardwareThreads(). The library's one remaining
+    /// worker-count knob: core/unassigned.cc passes 1, so a null pool
+    /// runs inline there as everywhere else.
     int threads = 0;
     /// Borrowed shared worker pool; when set, `threads` is ignored and
     /// no private pool is constructed (see ScopedPool). The evaluator
@@ -71,8 +74,6 @@ class ParallelCandidateEvaluator {
   /// Default options: hardware thread count, default evaluator config.
   ParallelCandidateEvaluator();
   explicit ParallelCandidateEvaluator(Options options);
-
-  int threads() const { return pool_->num_threads(); }
 
   /// Exact unassigned cost of every one-center swap of `centers`:
   /// values[p * pool.size() + c] is the cost of centers with

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "geometry/point_view.h"
+
 namespace ukc {
 namespace geometry {
 
@@ -25,25 +27,6 @@ void ImplicitMedianLayout(std::vector<uint32_t>* order, const double* coords,
 }
 
 }  // namespace
-
-Result<KdTree> KdTree::Build(const std::vector<Point>& points) {
-  if (points.empty()) {
-    return Status::InvalidArgument("KdTree: no points");
-  }
-  const size_t dim = points[0].dim();
-  if (dim == 0) {
-    return Status::InvalidArgument("KdTree: zero-dimensional points");
-  }
-  std::vector<double> coords;
-  coords.reserve(points.size() * dim);
-  for (const Point& p : points) {
-    if (p.dim() != dim) {
-      return Status::InvalidArgument("KdTree: mixed dimensions");
-    }
-    coords.insert(coords.end(), p.coords().begin(), p.coords().end());
-  }
-  return BuildFlat(std::move(coords), dim);
-}
 
 Result<KdTree> KdTree::BuildFlat(std::vector<double> coords, size_t dim) {
   if (dim == 0) {
@@ -72,20 +55,6 @@ Result<KdTree> KdTree::BuildFlat(std::vector<double> coords, size_t dim) {
   }
   tree.index_ = std::move(order);
   return tree;
-}
-
-Point KdTree::point(size_t index) const {
-  UKC_DCHECK_LT(index, index_.size());
-  // index_ is a permutation; find the slot holding `index`. Queries
-  // return construction indices, so this reverse lookup is cold (tests
-  // and diagnostics only).
-  for (size_t slot = 0; slot < index_.size(); ++slot) {
-    if (index_[slot] == index) {
-      return PointView(coords_.data() + slot * dim_, dim_).ToPoint();
-    }
-  }
-  UKC_CHECK(false) << "KdTree::point: index not found";
-  return Point();
 }
 
 NearestResult KdTree::Nearest(const double* query) const {
@@ -119,39 +88,6 @@ void KdTree::NearestRecursive(size_t begin, size_t end, size_t depth,
     NearestRecursive(mid + 1, end, depth + 1, query, best);
     if (delta * delta < best->squared_distance) {
       NearestRecursive(begin, mid, depth + 1, query, best);
-    }
-  }
-}
-
-std::vector<size_t> KdTree::WithinRadius(const double* query,
-                                         double radius) const {
-  UKC_CHECK_GE(radius, 0.0);
-  std::vector<size_t> out;
-  RadiusRecursive(0, index_.size(), 0, query, radius * radius, &out);
-  return out;
-}
-
-void KdTree::RadiusRecursive(size_t begin, size_t end, size_t depth,
-                             const double* query, double squared_radius,
-                             std::vector<size_t>* out) const {
-  if (begin >= end) return;
-  const size_t mid = begin + (end - begin) / 2;
-  const double* here = coords_.data() + mid * dim_;
-  if (SquaredDistanceKernel(here, query, dim_) <= squared_radius) {
-    out->push_back(index_[mid]);
-  }
-  if (end - begin == 1) return;
-  const size_t axis = depth % dim_;
-  const double delta = query[axis] - here[axis];
-  if (delta <= 0.0) {
-    RadiusRecursive(begin, mid, depth + 1, query, squared_radius, out);
-    if (delta * delta <= squared_radius) {
-      RadiusRecursive(mid + 1, end, depth + 1, query, squared_radius, out);
-    }
-  } else {
-    RadiusRecursive(mid + 1, end, depth + 1, query, squared_radius, out);
-    if (delta * delta <= squared_radius) {
-      RadiusRecursive(begin, mid, depth + 1, query, squared_radius, out);
     }
   }
 }

@@ -1,11 +1,10 @@
 // Static kd-tree over points in R^d for nearest-neighbor queries.
 //
-// Used to accelerate the assignment phase of the pipeline (nearest
-// center to each surrogate) and the Gonzalez relaxation on large
-// Euclidean instances: brute force is O(n k), the tree answers nearest
-// queries in roughly O(log k) for the small center sets k-center
-// produces. Exact (no approximation), with standard median-split
-// construction.
+// Its one caller is the unassigned expected-cost sweep
+// (cost/expected_cost_evaluator.cc, UnassignedCost at k >=
+// kDefaultKdTreeCutover centers): every location's nearest center is
+// one query, roughly O(log k) instead of the O(k) linear scan. Exact
+// (no approximation), with standard median-split construction.
 //
 // Storage is fully flat (structure of arrays): the point coordinates are
 // reordered once at build time into a single contiguous buffer laid out
@@ -21,8 +20,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "geometry/point.h"
-#include "geometry/point_view.h"
 
 namespace ukc {
 namespace geometry {
@@ -37,28 +34,13 @@ struct NearestResult {
 /// Immutable kd-tree. Build once, query many times.
 class KdTree {
  public:
-  /// Builds the tree in O(n log n) from boxed points (flattened once).
-  /// All points must share one dimension >= 1.
-  static Result<KdTree> Build(const std::vector<Point>& points);
-
-  /// Builds from a flat row-major coordinate buffer (count = coords.size
-  /// / dim points). The preferred entry point: no boxing anywhere.
+  /// Builds the tree in O(n log n) from a flat row-major coordinate
+  /// buffer (count = coords.size() / dim points, dim >= 1).
   static Result<KdTree> BuildFlat(std::vector<double> coords, size_t dim);
 
   /// The exact nearest point to `query` (ties broken arbitrarily).
-  /// `query` must have length dim() / dimension dim().
+  /// `query` must have length dim().
   NearestResult Nearest(const double* query) const;
-  NearestResult Nearest(const Point& query) const {
-    UKC_DCHECK_EQ(query.dim(), dim_);
-    return Nearest(query.coords().data());
-  }
-
-  /// All point indices within `radius` (inclusive) of `query`.
-  std::vector<size_t> WithinRadius(const double* query, double radius) const;
-  std::vector<size_t> WithinRadius(const Point& query, double radius) const {
-    UKC_DCHECK_EQ(query.dim(), dim_);
-    return WithinRadius(query.coords().data(), radius);
-  }
 
   /// Number of indexed points.
   size_t size() const { return index_.size(); }
@@ -66,18 +48,11 @@ class KdTree {
   /// Dimension of the indexed points.
   size_t dim() const { return dim_; }
 
-  /// The point for an index returned by a query (i.e. an index into the
-  /// construction array), materialized as an owning copy.
-  Point point(size_t index) const;
-
  private:
   KdTree() = default;
 
   void NearestRecursive(size_t begin, size_t end, size_t depth,
                         const double* query, NearestResult* best) const;
-  void RadiusRecursive(size_t begin, size_t end, size_t depth,
-                       const double* query, double squared_radius,
-                       std::vector<size_t>* out) const;
 
   // coords_[slot * dim_ ..] holds the point at tree slot `slot`;
   // index_[slot] is its index in the construction array.

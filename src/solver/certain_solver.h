@@ -49,9 +49,10 @@ struct CertainSolverOptions {
   double epsilon = 0.25;
   /// Budget caps forwarded to the exact solvers.
   uint64_t max_enumerations = 20'000'000;
-  /// Borrowed shared worker pool, forwarded to the solvers that
-  /// parallelize (currently kGonzalezRefined's refinement rounds).
-  /// Null = each such solver constructs its own (see ScopedPool).
+  /// Borrowed worker pool, forwarded to the solvers that parallelize
+  /// (currently kGonzalezRefined's refinement rounds); null runs them
+  /// inline on the calling thread. The solution does not depend on the
+  /// pool.
   ThreadPool* pool = nullptr;
 };
 

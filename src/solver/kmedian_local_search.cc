@@ -110,7 +110,7 @@ Result<KMedianSolution> KMedianLocalSearch(
     const KMedianOptions& options) {
   UKC_RETURN_IF_ERROR(ValidateCostMatrix(cost, k));
   const size_t m = cost[0].size();
-  ScopedPool pool(options.pool, options.threads);
+  ScopedPool pool(options.pool, 1);
 
   // Greedy start: repeatedly open the facility with the largest
   // marginal gain. Candidate totals are computed in parallel by

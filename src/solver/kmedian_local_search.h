@@ -27,12 +27,10 @@ struct KMedianOptions {
   /// Accept a swap only if it improves by this relative amount; the
   /// standard trick that bounds the number of iterations polynomially.
   double min_relative_improvement = 1e-9;
-  /// Workers sharding the greedy-start and swap scans (<= 0 = hardware
-  /// threads). The chosen facilities do not depend on this: candidate
-  /// totals are written by index and the argmin is an ordered scan.
-  int threads = 1;
-  /// Borrowed shared worker pool; when set, `threads` is ignored and no
-  /// private pool is constructed (see ScopedPool in common/thread_pool.h).
+  /// Borrowed worker pool sharding the greedy-start and swap scans;
+  /// null runs them inline on the calling thread. The chosen facilities
+  /// do not depend on the pool: candidate totals are written by index
+  /// and the argmin is an ordered scan.
   ThreadPool* pool = nullptr;
 };
 

@@ -75,7 +75,7 @@ Result<KCenterSolution> RefineKCenter(metric::MetricSpace* space,
   }
   auto* euclidean = dynamic_cast<metric::EuclideanSpace*>(space);
   Rng rng(options.seed);
-  ScopedPool pool(options.pool, options.threads);
+  ScopedPool pool(options.pool, 1);
 
   KCenterSolution best = seed;
   best.radius = CoveringRadius(*space, sites, best.centers);

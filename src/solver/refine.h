@@ -27,13 +27,10 @@ struct RefineOptions {
   /// amount.
   double min_relative_improvement = 1e-9;
   uint64_t seed = 23;  // Drives Welzl shuffles.
-  /// Workers sharding the per-site assignment and per-cluster
-  /// recentering (<= 0 = hardware threads). Each cluster's Welzl
-  /// shuffle draws from an rng forked by (round, cluster), so the
-  /// result does not depend on the thread count.
-  int threads = 1;
-  /// Borrowed shared worker pool; when set, `threads` is ignored and no
-  /// private pool is constructed (see ScopedPool in common/thread_pool.h).
+  /// Borrowed worker pool sharding the per-site assignment and
+  /// per-cluster recentering; null runs them inline on the calling
+  /// thread. Each cluster's Welzl shuffle draws from an rng forked by
+  /// (round, cluster), so the result does not depend on the pool.
   ThreadPool* pool = nullptr;
 };
 

@@ -648,12 +648,10 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
 Result<StreamingCoreset> IngestCoreset(size_t dim,
                                        const ResumableSourceFactory& factory,
                                        const IngestOptions& options,
-                                       ThreadPool* pool, IngestStats* stats) {
+                                       ThreadPool* shared_pool,
+                                       IngestStats* stats) {
   if (factory == nullptr) {
     return Status::InvalidArgument("IngestCoreset: null factory");
-  }
-  if (pool == nullptr) {
-    return Status::InvalidArgument("ingest: null pool");
   }
   if (dim == 0 || options.coreset.max_cells == 0 ||
       !(options.coreset.base_cell_width > 0.0)) {
@@ -663,6 +661,7 @@ Result<StreamingCoreset> IngestCoreset(size_t dim,
   if (options.retry.max_attempts < 1) {
     return Status::InvalidArgument("ingest: retry.max_attempts must be >= 1");
   }
+  ScopedPool pool(shared_pool, 1);
   const size_t shards = options.shards <= 0
                             ? static_cast<size_t>(pool->num_threads())
                             : static_cast<size_t>(options.shards);
@@ -755,7 +754,8 @@ Result<StreamingCoreset> IngestCoreset(size_t dim,
     source = std::move(fresh);
   }
   Result<StreamingCoreset> result = RunIngest(dim, *source, options, shards,
-                                              pool, counters, std::move(resume));
+                                              pool.get(), counters,
+                                              std::move(resume));
   if (stats != nullptr) *stats = counters;
   return result;
 }

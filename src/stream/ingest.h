@@ -194,15 +194,16 @@ struct IngestStats {
 };
 
 /// The ingestion entry point: drains one stream opened by `factory`
-/// through shard coresets on `pool` and reduces them into the returned
-/// coreset, bitwise identical for every (pool size, shards, chunk_size)
-/// configuration. With options.checkpoint.path set, the run
-/// first tries to restore — validating checksum, configuration
-/// fingerprint and stream position, and degrading to a full re-ingest
-/// on ANY mismatch — then saves a checkpoint every every_n_batches
-/// batches (rounded to whole groups). A restored-and-resumed run
-/// produces the bitwise-identical coreset an uninterrupted run would
-/// have produced.
+/// through shard coresets on the borrowed `pool` (null runs them inline
+/// on the calling thread; the reader thread still prefetches) and
+/// reduces them into the returned coreset, bitwise identical for every
+/// (pool, shards, chunk_size) configuration. With
+/// options.checkpoint.path set, the run first tries to restore —
+/// validating checksum, configuration fingerprint and stream position,
+/// and degrading to a full re-ingest on ANY mismatch — then saves a
+/// checkpoint every every_n_batches batches (rounded to whole groups).
+/// A restored-and-resumed run produces the bitwise-identical coreset an
+/// uninterrupted run would have produced.
 Result<StreamingCoreset> IngestCoreset(size_t dim,
                                        const ResumableSourceFactory& factory,
                                        const IngestOptions& options,

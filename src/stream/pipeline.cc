@@ -190,14 +190,15 @@ VerifyOutcome IntegrateGrid(const VerifyGrid& grid, double grid_top,
 }
 
 // The verification pass: drains a fresh source, sharding each batch's
-// points over the pool into per-worker grids, then reduces and
-// integrates.
+// points over the pool (inline when null) into per-worker grids, then
+// reduces and integrates.
 Result<VerifyOutcome> VerifyPass(size_t dim, metric::Norm norm,
                                  const BatchSource& source,
                                  const std::vector<double>& center_coords,
                                  size_t k, double grid_top, size_t buckets,
-                                 ThreadPool* pool) {
+                                 ThreadPool* shared_pool) {
   UKC_OBS_SPAN("stream.verify");
+  ScopedPool pool(shared_pool, 1);
   std::vector<VerifyGrid> grids(pool->num_threads(), VerifyGrid(buckets));
   std::vector<std::vector<std::pair<double, size_t>>> scratch(
       pool->num_threads());
@@ -283,8 +284,7 @@ Result<CellSolution> SolveOnCells(const double* reps, size_t n, size_t dim,
 
 Result<StreamingSolution> StreamingUncertainKCenter::SolveSource(
     size_t dim, const BatchSourceFactory& factory) {
-  ScopedPool pool(options_.pool, options_.threads);
-  return Solve(dim, AdaptBatchFactory(factory), pool.get());
+  return Solve(dim, AdaptBatchFactory(factory));
 }
 
 Result<StreamingSolution> StreamingUncertainKCenter::SolveFile(
@@ -298,9 +298,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveFile(
                          uncertain::DatasetReader::Open(path));
     dim = probe.dim();
   }
-  ScopedPool pool(options_.pool, options_.threads);
-  return Solve(dim, ResumableFileFactory(path, options_.ingest.chunk_size),
-               pool.get());
+  return Solve(dim, ResumableFileFactory(path, options_.ingest.chunk_size));
 }
 
 Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
@@ -313,12 +311,10 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
     return Status::FailedPrecondition(
         "SolveDataset: streaming requires a Euclidean dataset");
   }
-  ScopedPool pool(options_.pool, options_.threads);
   UKC_ASSIGN_OR_RETURN(
       StreamingSolution solution,
       Solve(space->dim(),
-            ResumableDatasetFactory(dataset, options_.ingest.chunk_size),
-            pool.get()));
+            ResumableDatasetFactory(dataset, options_.ingest.chunk_size)));
 
   // The materialized dataset allows the exact evaluator cost on top of
   // the streaming bracket: mint the centers into the space, ED-assign,
@@ -331,8 +327,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
   }
   UKC_ASSIGN_OR_RETURN(cost::Assignment assignment,
                        cost::AssignExpectedDistance(*dataset, center_ids,
-                                                    options_.threads,
-                                                    pool.get()));
+                                                    options_.pool));
   cost::ExpectedCostEvaluator evaluator;
   UKC_ASSIGN_OR_RETURN(solution.verified_exact,
                        evaluator.AssignedCost(*dataset, assignment));
@@ -340,7 +335,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
 }
 
 Result<StreamingSolution> StreamingUncertainKCenter::Solve(
-    size_t dim, const ResumableSourceFactory& factory, ThreadPool* pool) {
+    size_t dim, const ResumableSourceFactory& factory) {
   if (dim == 0) {
     return Status::InvalidArgument(
         "StreamingUncertainKCenter: dim must be >= 1");
@@ -361,7 +356,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   // and cadenced saves all live inside IngestCoreset).
   UKC_ASSIGN_OR_RETURN(
       StreamingCoreset coreset,
-      IngestCoreset(dim, factory, options_.ingest, pool,
+      IngestCoreset(dim, factory, options_.ingest, options_.pool,
                     &solution.ingest_stats));
   std::vector<double> reps;
   coreset.ExtractRepresentatives(&reps);
@@ -378,7 +373,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   // parallelize.
   stopwatch.Reset();
   solver::CertainSolverOptions certain_options = options_.certain;
-  if (certain_options.pool == nullptr) certain_options.pool = pool;
+  if (certain_options.pool == nullptr) certain_options.pool = options_.pool;
   UKC_ASSIGN_OR_RETURN(
       CellSolution cell_solution,
       SolveOnCells(reps.data(), solution.coreset_cells, dim, coreset.norm(),
@@ -409,7 +404,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
       VerifyOutcome outcome,
       VerifyPass(dim, coreset.norm(), verify_source.next,
                  solution.center_coords, solution.k, grid_top,
-                 options_.verify_buckets, pool));
+                 options_.verify_buckets, options_.pool));
   if (outcome.points != solution.ingest_stats.points) {
     return Status::Internal(StrFormat(
         "StreamingUncertainKCenter: verification saw %llu points, ingest saw "

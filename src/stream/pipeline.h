@@ -57,10 +57,9 @@ struct StreamingOptions {
   IngestOptions ingest;
   /// Deterministic solver run on the coreset representatives.
   solver::CertainSolverOptions certain;
-  /// Worker count (<= 0 = hardware threads) for ingest, solve and
-  /// verify; ignored when `pool` is set.
-  int threads = 1;
-  /// Borrowed shared worker pool (see common/thread_pool.h ScopedPool).
+  /// Borrowed worker pool for ingest, solve and verify; null runs them
+  /// inline on the calling thread (the ingest reader thread still
+  /// prefetches). The solution is bitwise independent of the pool.
   ThreadPool* pool = nullptr;
   /// Grid resolution of the verification bracket; the bracket width is
   /// about grid_top / verify_buckets.
@@ -188,8 +187,7 @@ class StreamingUncertainKCenter {
 
  private:
   Result<StreamingSolution> Solve(size_t dim,
-                                  const ResumableSourceFactory& factory,
-                                  ThreadPool* pool);
+                                  const ResumableSourceFactory& factory);
 
   StreamingOptions options_;
 };

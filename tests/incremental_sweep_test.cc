@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/unassigned.h"
 #include "cost/expected_cost_evaluator.h"
 #include "cost/parallel_evaluator.h"
@@ -243,8 +244,9 @@ TEST(TinyEnumerateTest, ShardedEnumerationMatchesSerialScan) {
   }
 
   for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
     auto solution =
-        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, threads);
+        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, &pool);
     ASSERT_TRUE(solution.ok()) << solution.status();
     EXPECT_EQ(solution->centers, best_centers) << "threads=" << threads;
     EXPECT_EQ(solution->expected_cost, best_value) << "threads=" << threads;
@@ -275,8 +277,9 @@ TEST(TinyEnumerateTest, TiesResolveToLowestRankSubset) {
   std::vector<SiteId> reference_centers;
   double reference_cost = 0.0;
   for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
     auto solution =
-        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, threads);
+        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, &pool);
     ASSERT_TRUE(solution.ok()) << solution.status();
     if (threads == 1) {
       reference_centers = solution->centers;

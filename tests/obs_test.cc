@@ -252,11 +252,12 @@ struct Answers {
 };
 
 void RunWorkloads(const std::string& snapshot_path, Answers* answers) {
+  ThreadPool pool(2);
   uncertain::UncertainDataset search_data = SmallInstance(5);
   core::UnassignedSearchOptions search;
   search.k = 3;
   search.max_swaps = 4;
-  search.threads = 2;
+  search.pool = &pool;
   auto searched = core::LocalSearchUnassigned(&search_data, search);
   ASSERT_TRUE(searched.ok()) << searched.status();
   answers->bits.insert(answers->bits.end(), searched->centers.begin(),
@@ -266,7 +267,7 @@ void RunWorkloads(const std::string& snapshot_path, Answers* answers) {
   uncertain::UncertainDataset stream_data = SmallInstance(6);
   stream::StreamingOptions streaming;
   streaming.k = 3;
-  streaming.threads = 2;
+  streaming.pool = &pool;
   streaming.ingest.chunk_size = 16;
   streaming.ingest.coreset.max_cells = 24;
   auto streamed =

@@ -5,8 +5,7 @@
 //   - distance kernels vs straightforward coordinate loops, for all
 //     three norms and d in {1, 2, 3, 8} (covering every unrolled case
 //     plus the strided fallback);
-//   - the implicit-layout kd-tree vs brute-force nearest/radius scans,
-//     and BuildFlat vs Build;
+//   - the implicit-layout kd-tree vs brute-force nearest scans;
 //   - EuclideanSpace::DistanceToSet / NearestInSet overrides vs the
 //     generic per-pair scan;
 //   - ExpectedCostEvaluator vs BruteForce* enumeration on tiny
@@ -110,11 +109,20 @@ TEST(DistanceKernelParityTest, PointFreeFunctionsMatchKernels) {
   }
 }
 
+// The flat row-major buffer KdTree::BuildFlat takes.
+std::vector<double> Flatten(const std::vector<Point>& points) {
+  std::vector<double> coords;
+  for (const Point& p : points) {
+    coords.insert(coords.end(), p.coords().begin(), p.coords().end());
+  }
+  return coords;
+}
+
 TEST(KdTreeParityTest, NearestMatchesBruteForceAcrossDims) {
   for (size_t dim : {1u, 2u, 3u, 8u}) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       const auto points = RandomPoints(257, dim, seed * 1000 + dim);
-      auto tree = geometry::KdTree::Build(points);
+      auto tree = geometry::KdTree::BuildFlat(Flatten(points), dim);
       ASSERT_TRUE(tree.ok());
       Rng rng(seed * 31 + dim);
       for (int q = 0; q < 60; ++q) {
@@ -126,53 +134,35 @@ TEST(KdTreeParityTest, NearestMatchesBruteForceAcrossDims) {
         for (const Point& p : points) {
           best = std::min(best, NaiveSquaredDistance(p, query));
         }
-        EXPECT_DOUBLE_EQ(tree->Nearest(query).squared_distance, best)
+        EXPECT_DOUBLE_EQ(tree->Nearest(query.coords().data()).squared_distance,
+                         best)
             << "dim=" << dim << " seed=" << seed;
       }
     }
   }
 }
 
-TEST(KdTreeParityTest, BuildFlatMatchesBuild) {
+// The returned index names the brute-force argmin (Gaussian queries
+// against uniform points: no ties) at exactly its distance.
+TEST(KdTreeParityTest, NearestIndexMatchesBruteForce) {
   const size_t dim = 3;
   const auto points = RandomPoints(100, dim, 5);
-  std::vector<double> coords;
-  for (const Point& p : points) {
-    coords.insert(coords.end(), p.coords().begin(), p.coords().end());
-  }
-  auto boxed = geometry::KdTree::Build(points);
-  auto flat = geometry::KdTree::BuildFlat(std::move(coords), dim);
-  ASSERT_TRUE(boxed.ok());
-  ASSERT_TRUE(flat.ok());
+  auto tree = geometry::KdTree::BuildFlat(Flatten(points), dim);
+  ASSERT_TRUE(tree.ok());
   Rng rng(6);
   for (int q = 0; q < 50; ++q) {
     Point query{rng.Gaussian(), rng.Gaussian(), rng.Gaussian()};
-    const auto a = boxed->Nearest(query);
-    const auto b = flat->Nearest(query);
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.squared_distance, b.squared_distance);
-  }
-}
-
-TEST(KdTreeParityTest, WithinRadiusMatchesBruteForceHighDim) {
-  const size_t dim = 8;
-  const auto points = RandomPoints(200, dim, 9);
-  auto tree = geometry::KdTree::Build(points);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(10);
-  for (int q = 0; q < 20; ++q) {
-    Point query(dim);
-    for (size_t a = 0; a < dim; ++a) query[a] = rng.UniformDouble(-10.0, 10.0);
-    const double radius = rng.UniformDouble(2.0, 12.0);
-    auto found = tree->WithinRadius(query, radius);
-    std::sort(found.begin(), found.end());
-    std::vector<size_t> expected;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (std::sqrt(NaiveSquaredDistance(points[i], query)) <= radius) {
-        expected.push_back(i);
+    size_t argmin = 0;
+    for (size_t i = 1; i < points.size(); ++i) {
+      if (NaiveSquaredDistance(points[i], query) <
+          NaiveSquaredDistance(points[argmin], query)) {
+        argmin = i;
       }
     }
-    EXPECT_EQ(found, expected);
+    const auto nearest = tree->Nearest(query.coords().data());
+    EXPECT_EQ(nearest.index, argmin);
+    EXPECT_EQ(nearest.squared_distance,
+              geometry::SquaredDistance(points[argmin], query));
   }
 }
 

@@ -542,11 +542,11 @@ TEST(StreamingIngestTest, CheckpointedIngestMatchesPlainIngest) {
 
 // --- Streaming pipeline -----------------------------------------------------
 
-stream::StreamingOptions PipelineOptions(int threads, size_t chunk_size,
+stream::StreamingOptions PipelineOptions(ThreadPool* pool, size_t chunk_size,
                                          int shards) {
   stream::StreamingOptions options;
   options.k = 4;
-  options.threads = threads;
+  options.pool = pool;
   options.ingest.chunk_size = chunk_size;
   options.ingest.shards = shards;
   options.ingest.coreset.max_cells = 512;
@@ -555,7 +555,8 @@ stream::StreamingOptions PipelineOptions(int threads, size_t chunk_size,
 
 TEST(StreamingPipelineTest, BitwiseDeterminismAcrossConfigurations) {
   auto dataset = MakeDataset(800, 17);
-  stream::StreamingUncertainKCenter baseline_solver(PipelineOptions(1, 800, 1));
+  stream::StreamingUncertainKCenter baseline_solver(
+      PipelineOptions(nullptr, 800, 1));
   auto baseline = baseline_solver.SolveDataset(&dataset);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   ASSERT_EQ(baseline->k, 4u);
@@ -567,8 +568,9 @@ TEST(StreamingPipelineTest, BitwiseDeterminismAcrossConfigurations) {
         SCOPED_TRACE(::testing::Message() << "threads=" << threads
                                           << " chunk=" << chunk_size
                                           << " shards=" << shards);
+        ThreadPool pool(threads);
         stream::StreamingUncertainKCenter solver(
-            PipelineOptions(threads, chunk_size, shards));
+            PipelineOptions(&pool, chunk_size, shards));
         auto solution = solver.SolveDataset(&dataset);
         ASSERT_TRUE(solution.ok()) << solution.status();
         EXPECT_EQ(solution->center_coords, baseline->center_coords);
@@ -587,7 +589,8 @@ TEST(StreamingPipelineTest, BitwiseDeterminismAcrossConfigurations) {
 
 TEST(StreamingPipelineTest, BracketContainsExactCostAndIsTight) {
   auto dataset = MakeDataset(600, 19);
-  stream::StreamingUncertainKCenter solver(PipelineOptions(2, 97, 3));
+  ThreadPool pool(2);
+  stream::StreamingUncertainKCenter solver(PipelineOptions(&pool, 97, 3));
   auto solution = solver.SolveDataset(&dataset);
   ASSERT_TRUE(solution.ok()) << solution.status();
 
@@ -613,7 +616,8 @@ TEST(StreamingPipelineTest, ApproximationBoundAgainstDirectSolve) {
     auto direct = core::SolveUncertainKCenter(&dataset, direct_options);
     ASSERT_TRUE(direct.ok()) << direct.status();
 
-    stream::StreamingOptions stream_options = PipelineOptions(2, 128, 2);
+    ThreadPool pool(2);
+    stream::StreamingOptions stream_options = PipelineOptions(&pool, 128, 2);
     stream_options.ingest.coreset.max_cells = 1024;
     stream::StreamingUncertainKCenter solver(stream_options);
     auto solution = solver.SolveDataset(&dataset);
@@ -635,7 +639,8 @@ TEST(StreamingPipelineTest, FileAndDatasetPathsAgreeBitwise) {
   const std::string path = TempPath("stream_solve.ukc");
   ASSERT_TRUE(uncertain::SaveDatasetToFile(dataset, path).ok());
 
-  stream::StreamingUncertainKCenter solver(PipelineOptions(2, 64, 2));
+  ThreadPool pool(2);
+  stream::StreamingUncertainKCenter solver(PipelineOptions(&pool, 64, 2));
   auto from_file = solver.SolveFile(path);
   ASSERT_TRUE(from_file.ok()) << from_file.status();
   auto from_dataset = solver.SolveDataset(&dataset);
@@ -655,11 +660,12 @@ TEST(StreamingPipelineTest, CheckpointedSolveFileMatchesPlain) {
   const std::string path = TempPath("ckpt_solve.ukc");
   ASSERT_TRUE(uncertain::SaveDatasetToFile(dataset, path).ok());
 
-  stream::StreamingUncertainKCenter plain(PipelineOptions(2, 32, 2));
+  ThreadPool pool(2);
+  stream::StreamingUncertainKCenter plain(PipelineOptions(&pool, 32, 2));
   auto want = plain.SolveFile(path);
   ASSERT_TRUE(want.ok()) << want.status();
 
-  stream::StreamingOptions options = PipelineOptions(2, 32, 2);
+  stream::StreamingOptions options = PipelineOptions(&pool, 32, 2);
   options.ingest.checkpoint.path = TempPath("ckpt_solve.ckpt");
   options.ingest.checkpoint.every_n_batches = 2;
   options.ingest.checkpoint.sync = false;
@@ -680,7 +686,7 @@ TEST(StreamingPipelineTest, CheckpointedSolveFileMatchesPlain) {
 TEST(StreamingPipelineTest, SolveOpensTheStreamOncePerPass) {
   auto dataset = MakeDataset(200, 43);
   for (bool verify : {false, true}) {
-    stream::StreamingOptions options = PipelineOptions(1, 64, 1);
+    stream::StreamingOptions options = PipelineOptions(nullptr, 64, 1);
     options.verify = verify;
     stream::StreamingUncertainKCenter solver(options);
     size_t factory_calls = 0;
@@ -755,7 +761,8 @@ TEST(StreamingPipelineTest, ProducerSourceMatchesDataset) {
           .value();
   ASSERT_EQ(dataset.n(), n);
 
-  stream::StreamingOptions options = PipelineOptions(2, 64, 2);
+  ThreadPool pool(2);
+  stream::StreamingOptions options = PipelineOptions(&pool, 64, 2);
   options.k = 3;
   stream::StreamingUncertainKCenter solver(options);
   auto via_producer = solver.SolveSource(dim, make_factory());
@@ -792,9 +799,10 @@ TEST(StreamingPipelineTest, SolverReturningFewerThanKCentersStaysInBounds) {
 
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
     stream::StreamingOptions options;
     options.k = 3;
-    options.threads = threads;
+    options.pool = &pool;
     options.certain.kind = solver::CertainSolverKind::kHochbaumShmoys;
     stream::StreamingUncertainKCenter streaming(options);
     auto solution = streaming.SolveDataset(&dataset);
@@ -809,47 +817,47 @@ TEST(StreamingPipelineTest, SolverReturningFewerThanKCentersStaysInBounds) {
 }
 
 // --- Shared-pool plumbing ---------------------------------------------------
+// A borrowed pool must give what a null pool (inline on the calling
+// thread) gives.
 
-TEST(SharedPoolTest, PipelineMatchesPrivatePools) {
-  auto dataset_private = MakeDataset(250, 41);
+TEST(SharedPoolTest, PipelineMatchesInlineRun) {
+  auto dataset_inline = MakeDataset(250, 41);
   auto dataset_shared = MakeDataset(250, 41);
 
   core::UncertainKCenterOptions options;
   options.k = 3;
-  options.threads = 2;
-  auto with_private = core::SolveUncertainKCenter(&dataset_private, options);
-  ASSERT_TRUE(with_private.ok());
+  auto inline_run = core::SolveUncertainKCenter(&dataset_inline, options);
+  ASSERT_TRUE(inline_run.ok());
 
   ThreadPool pool(2);
   options.pool = &pool;
   auto with_shared = core::SolveUncertainKCenter(&dataset_shared, options);
   ASSERT_TRUE(with_shared.ok());
 
-  EXPECT_EQ(with_private->centers, with_shared->centers);
-  EXPECT_EQ(with_private->surrogates, with_shared->surrogates);
-  EXPECT_EQ(with_private->expected_cost, with_shared->expected_cost);
-  EXPECT_EQ(with_private->assignment, with_shared->assignment);
+  EXPECT_EQ(inline_run->centers, with_shared->centers);
+  EXPECT_EQ(inline_run->surrogates, with_shared->surrogates);
+  EXPECT_EQ(inline_run->expected_cost, with_shared->expected_cost);
+  EXPECT_EQ(inline_run->assignment, with_shared->assignment);
 }
 
-TEST(SharedPoolTest, LocalSearchMatchesPrivatePools) {
-  auto dataset_private = MakeDataset(120, 43);
+TEST(SharedPoolTest, LocalSearchMatchesInlineRun) {
+  auto dataset_inline = MakeDataset(120, 43);
   auto dataset_shared = MakeDataset(120, 43);
 
   core::UnassignedSearchOptions options;
   options.k = 3;
-  options.threads = 2;
   options.max_swaps = 4;
-  auto with_private = core::LocalSearchUnassigned(&dataset_private, options);
-  ASSERT_TRUE(with_private.ok());
+  auto inline_run = core::LocalSearchUnassigned(&dataset_inline, options);
+  ASSERT_TRUE(inline_run.ok());
 
   ThreadPool pool(2);
   options.pool = &pool;
   auto with_shared = core::LocalSearchUnassigned(&dataset_shared, options);
   ASSERT_TRUE(with_shared.ok());
 
-  EXPECT_EQ(with_private->centers, with_shared->centers);
-  EXPECT_EQ(with_private->expected_cost, with_shared->expected_cost);
-  EXPECT_EQ(with_private->swaps, with_shared->swaps);
+  EXPECT_EQ(inline_run->centers, with_shared->centers);
+  EXPECT_EQ(inline_run->expected_cost, with_shared->expected_cost);
+  EXPECT_EQ(inline_run->swaps, with_shared->swaps);
 }
 
 }  // namespace
