@@ -7,62 +7,26 @@
 
 namespace ukc {
 
-/// Measures elapsed wall time. Starts running on construction. A
-/// stopwatch can be paused and resumed; elapsed time is CUMULATIVE
-/// across running segments (the stage timers of the streaming layer
-/// pause across the batches of other stages and resume on their own),
-/// which reduces to the original construction-to-now behavior when
-/// Pause/Resume are never called.
+/// Measures elapsed wall time since construction or the last Reset().
+/// Starts running on construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch: cumulative time drops to zero and it is
-  /// running again regardless of prior pause state.
-  void Reset() {
-    accumulated_ = Duration::zero();
-    running_ = true;
-    start_ = Clock::now();
-  }
+  /// Restarts the stopwatch from zero.
+  void Reset() { start_ = Clock::now(); }
 
-  /// Freezes the elapsed total. No-op when already paused.
-  void Pause() {
-    if (!running_) return;
-    accumulated_ += Clock::now() - start_;
-    running_ = false;
-  }
-
-  /// Continues accumulating after a Pause. No-op when running.
-  void Resume() {
-    if (running_) return;
-    running_ = true;
-    start_ = Clock::now();
-  }
-
-  /// Whether time is currently accumulating.
-  bool IsRunning() const { return running_; }
-
-  /// Cumulative elapsed seconds over every running segment since
-  /// construction or the last Reset(), including the currently-running
-  /// segment when not paused.
+  /// Elapsed seconds since construction or the last Reset().
   double ElapsedSeconds() const {
-    Duration elapsed = accumulated_;
-    if (running_) elapsed += Clock::now() - start_;
-    return std::chrono::duration<double>(elapsed).count();
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
   /// Elapsed milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Elapsed microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
-  using Duration = Clock::duration;
   Clock::time_point start_;
-  Duration accumulated_ = Duration::zero();
-  bool running_ = true;
 };
 
 }  // namespace ukc

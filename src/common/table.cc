@@ -10,13 +10,6 @@ namespace ukc {
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   UKC_CHECK(!headers_.empty());
-  alignment_.assign(headers_.size(), Align::kRight);
-  alignment_[0] = Align::kLeft;
-}
-
-void TablePrinter::SetAlignment(std::vector<Align> alignment) {
-  UKC_CHECK_EQ(alignment.size(), headers_.size());
-  alignment_ = std::move(alignment);
 }
 
 void TablePrinter::AddRow(std::vector<std::string> cells) {
@@ -32,23 +25,13 @@ std::string TablePrinter::FormatCell(double value) {
 
 namespace {
 
+// Column 0 is left-aligned, every other column right-aligned.
 void PrintPadded(std::ostream& os, const std::string& cell, size_t width,
-                 Align align) {
+                 size_t column) {
   const size_t pad = width > cell.size() ? width - cell.size() : 0;
-  if (align == Align::kRight) os << std::string(pad, ' ');
+  if (column > 0) os << std::string(pad, ' ');
   os << cell;
-  if (align == Align::kLeft) os << std::string(pad, ' ');
-}
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
+  if (column == 0) os << std::string(pad, ' ');
 }
 
 }  // namespace
@@ -62,10 +45,9 @@ void TablePrinter::Print(std::ostream& os) const {
     }
   }
 
-  if (!title_.empty()) os << title_ << "\n";
   for (size_t c = 0; c < headers_.size(); ++c) {
     if (c > 0) os << "  ";
-    PrintPadded(os, headers_[c], widths[c], alignment_[c]);
+    PrintPadded(os, headers_[c], widths[c], c);
   }
   os << "\n";
   size_t total = 0;
@@ -74,22 +56,7 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) os << "  ";
-      PrintPadded(os, row[c], widths[c], alignment_[c]);
-    }
-    os << "\n";
-  }
-}
-
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  for (size_t c = 0; c < headers_.size(); ++c) {
-    if (c > 0) os << ",";
-    os << CsvEscape(headers_[c]);
-  }
-  os << "\n";
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) os << ",";
-      os << CsvEscape(row[c]);
+      PrintPadded(os, row[c], widths[c], c);
     }
     os << "\n";
   }

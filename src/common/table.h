@@ -10,25 +10,13 @@
 
 namespace ukc {
 
-/// Column alignment for TablePrinter.
-enum class Align {
-  kLeft,
-  kRight,
-};
-
 /// Accumulates rows of string cells and renders them with aligned
-/// columns, a header rule, and an optional title. Also exports CSV.
+/// columns and a header rule: the first column is left-aligned and the
+/// rest right-aligned (the usual "label, numbers..." layout).
 class TablePrinter {
  public:
   /// Creates a table with the given column headers.
   explicit TablePrinter(std::vector<std::string> headers);
-
-  /// Sets a title printed above the table.
-  void SetTitle(std::string title) { title_ = std::move(title); }
-
-  /// Sets per-column alignment; default is left for the first column and
-  /// right for the rest (the usual "label, numbers..." layout).
-  void SetAlignment(std::vector<Align> alignment);
 
   /// Appends a row; must have exactly as many cells as there are headers.
   void AddRow(std::vector<std::string> cells);
@@ -41,9 +29,6 @@ class TablePrinter {
 
   /// Renders the aligned table.
   void Print(std::ostream& os) const;
-
-  /// Renders as CSV (no alignment padding).
-  void PrintCsv(std::ostream& os) const;
 
   /// Number of data rows so far.
   size_t num_rows() const { return rows_.size(); }
@@ -62,9 +47,7 @@ class TablePrinter {
   }
 
  private:
-  std::string title_;
   std::vector<std::string> headers_;
-  std::vector<Align> alignment_;
   std::vector<std::vector<std::string>> rows_;
 };
 

@@ -73,43 +73,11 @@ double LInfDistance(const Point& a, const Point& b) {
   return LInfDistanceKernel(a.coords().data(), b.coords().data(), a.dim());
 }
 
-double LpDistance(const Point& a, const Point& b, double p) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  UKC_CHECK_GE(p, 1.0) << "Lp distance needs p >= 1 for the triangle inequality";
-  double total = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    total += std::pow(std::abs(a[i] - b[i]), p);
-  }
-  return std::pow(total, 1.0 / p);
-}
-
-Point Lerp(const Point& a, const Point& b, double t) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  Point out(a.dim());
-  for (size_t i = 0; i < a.dim(); ++i) out[i] = (1.0 - t) * a[i] + t * b[i];
-  return out;
-}
-
 Point Centroid(const std::vector<Point>& points) {
   UKC_CHECK(!points.empty());
   Point sum(points[0].dim());
   for (const Point& p : points) sum += p;
   return sum * (1.0 / static_cast<double>(points.size()));
-}
-
-Point WeightedCentroid(const std::vector<Point>& points,
-                       const std::vector<double>& weights) {
-  UKC_CHECK(!points.empty());
-  UKC_CHECK_EQ(points.size(), weights.size());
-  Point sum(points[0].dim());
-  double total = 0.0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    UKC_CHECK_GE(weights[i], 0.0);
-    sum += points[i] * weights[i];
-    total += weights[i];
-  }
-  UKC_CHECK_GT(total, 0.0);
-  return sum * (1.0 / total);
 }
 
 }  // namespace geometry

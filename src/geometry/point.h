@@ -89,19 +89,8 @@ double L1Distance(const Point& a, const Point& b);
 /// L∞ (Chebyshev) distance.
 double LInfDistance(const Point& a, const Point& b);
 
-/// Lp distance for p >= 1.
-double LpDistance(const Point& a, const Point& b, double p);
-
-/// Convex combination (1-t)*a + t*b.
-Point Lerp(const Point& a, const Point& b, double t);
-
 /// The arithmetic mean of a non-empty set of points.
 Point Centroid(const std::vector<Point>& points);
-
-/// The probability-weighted mean Σ w_i p_i / Σ w_i (weights must be
-/// non-negative with positive total).
-Point WeightedCentroid(const std::vector<Point>& points,
-                       const std::vector<double>& weights);
 
 }  // namespace geometry
 }  // namespace ukc

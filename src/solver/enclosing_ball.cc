@@ -3,16 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/strings.h"
-#include "geometry/point_view.h"
 
 namespace ukc {
 namespace solver {
 
 using geometry::Point;
 
-bool Ball::Contains(const geometry::Point& p, double slack) const {
-  const double limit = radius * (1.0 + slack) + 1e-12;
+namespace {
+
+// Round-off tolerance of Ball::Contains: a point counts as inside when
+// its distance is at most radius * (1 + kContainsRelativeSlack) +
+// kContainsAbsoluteSlack.
+constexpr double kContainsRelativeSlack = 1e-9;
+constexpr double kContainsAbsoluteSlack = 1e-12;
+
+}  // namespace
+
+bool Ball::Contains(const geometry::Point& p) const {
+  const double limit =
+      radius * (1.0 + kContainsRelativeSlack) + kContainsAbsoluteSlack;
   return geometry::Distance(center, p) <= limit;
 }
 
@@ -147,60 +156,6 @@ Result<Ball> WelzlMinBall(const std::vector<Point>& points, Rng& rng) {
   rng.Shuffle(&shuffled);
   WelzlSolver solver(std::move(shuffled), dim);
   return solver.Run();
-}
-
-Result<Ball> BadoiuClarkson(const std::vector<Point>& points, double eps) {
-  if (points.empty()) {
-    return Status::InvalidArgument("BadoiuClarkson: no points");
-  }
-  if (!(eps > 0.0) || eps > 1.0) {
-    return Status::InvalidArgument("BadoiuClarkson: eps must be in (0, 1]");
-  }
-  const size_t dim = points[0].dim();
-  for (const Point& p : points) {
-    if (p.dim() != dim) {
-      return Status::InvalidArgument("BadoiuClarkson: mixed dimensions");
-    }
-  }
-
-  const size_t iterations =
-      static_cast<size_t>(std::ceil(1.0 / (eps * eps))) + 1;
-  // Flatten once; the farthest-point scans then run over contiguous
-  // memory with the dimension-specialized kernel.
-  std::vector<double> coords;
-  coords.reserve(points.size() * dim);
-  for (const Point& p : points) {
-    coords.insert(coords.end(), p.coords().begin(), p.coords().end());
-  }
-  std::vector<double> center(coords.begin(), coords.begin() + dim);
-  for (size_t i = 1; i <= iterations; ++i) {
-    // Farthest point from the current center.
-    size_t farthest = 0;
-    double worst = -1.0;
-    for (size_t j = 0; j < points.size(); ++j) {
-      const double d = geometry::SquaredDistanceKernel(
-          center.data(), coords.data() + j * dim, dim);
-      if (d > worst) {
-        worst = d;
-        farthest = j;
-      }
-    }
-    const double* far = coords.data() + farthest * dim;
-    const double step = 1.0 / static_cast<double>(i + 1);
-    for (size_t a = 0; a < dim; ++a) {
-      center[a] += (far[a] - center[a]) * step;
-    }
-  }
-
-  Ball ball;
-  ball.center = geometry::PointView(center.data(), dim).ToPoint();
-  double worst2 = 0.0;
-  for (size_t j = 0; j < points.size(); ++j) {
-    worst2 = std::max(worst2, geometry::SquaredDistanceKernel(
-                                  center.data(), coords.data() + j * dim, dim));
-  }
-  ball.radius = std::sqrt(worst2);
-  return ball;
 }
 
 }  // namespace solver

@@ -1,13 +1,8 @@
 // Minimum enclosing ball (the Euclidean 1-center of certain points).
 //
-// Two algorithms:
-//  * WelzlMinBall     — exact expected-linear-time randomized algorithm
-//                       [Welzl 1991], implemented for arbitrary
-//                       dimension via circumscribed-ball solves on
-//                       affinely independent support sets.
-//  * BadoiuClarkson   — (1+eps) core-set iteration [Bădoiu & Clarkson
-//                       2003]: O(1/eps^2) farthest-point steps,
-//                       dimension-free, for large inputs.
+// WelzlMinBall is the exact expected-linear-time randomized algorithm
+// [Welzl 1991], implemented for arbitrary dimension via
+// circumscribed-ball solves on affinely independent support sets.
 
 #ifndef UKC_SOLVER_ENCLOSING_BALL_H_
 #define UKC_SOLVER_ENCLOSING_BALL_H_
@@ -26,20 +21,15 @@ struct Ball {
   geometry::Point center;
   double radius = 0.0;
 
-  /// Whether p lies inside, with relative slack for round-off.
-  bool Contains(const geometry::Point& p, double slack = 1e-9) const;
+  /// Whether p lies inside, up to a fixed round-off tolerance
+  /// (enclosing_ball.cc).
+  bool Contains(const geometry::Point& p) const;
 };
 
 /// Exact minimum enclosing ball via Welzl's algorithm. The input must be
 /// non-empty and of uniform dimension. `rng` drives the random
 /// permutation that makes the expected runtime linear.
 Result<Ball> WelzlMinBall(const std::vector<geometry::Point>& points, Rng& rng);
-
-/// (1+eps)-approximate minimum enclosing ball via Bădoiu–Clarkson
-/// core-set iteration: ceil(1/eps^2) iterations, each a farthest-point
-/// scan. eps must be in (0, 1].
-Result<Ball> BadoiuClarkson(const std::vector<geometry::Point>& points,
-                            double eps);
 
 /// The exact smallest ball with all of `support` on its boundary, for an
 /// affinely independent support set of size <= d+1 (internal to Welzl,

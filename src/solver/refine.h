@@ -1,9 +1,9 @@
-// Alternating refinement for k-center ("Lloyd for the max radius"):
-// reassign sites to their nearest center, then recenter each cluster —
-// with its exact minimum enclosing ball in Euclidean spaces, or its
-// discrete 1-center in general metric spaces. The covering radius never
-// increases, so the seed solver's guarantee is preserved while the
-// constant improves markedly in practice.
+// Alternating refinement for k-center: reassign sites to their nearest
+// center, then recenter each cluster — with its exact minimum enclosing
+// ball in Euclidean spaces, or its discrete 1-center in general metric
+// spaces. The covering radius never increases, so the seed solver's
+// guarantee is preserved while the constant improves markedly in
+// practice.
 
 #ifndef UKC_SOLVER_REFINE_H_
 #define UKC_SOLVER_REFINE_H_

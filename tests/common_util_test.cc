@@ -124,14 +124,6 @@ TEST(TablePrinterTest, AddRowValues) {
   EXPECT_EQ(table.num_rows(), 1u);
 }
 
-TEST(TablePrinterTest, CsvEscaping) {
-  TablePrinter table({"x", "y"});
-  table.AddRow({"has,comma", "has\"quote"});
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "x,y\n\"has,comma\",\"has\"\"quote\"\n");
-}
-
 TEST(TablePrinterDeathTest, WrongArityAborts) {
   TablePrinter table({"only"});
   EXPECT_DEATH(table.AddRow({"a", "b"}), "CHECK failed");
@@ -221,7 +213,6 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch stopwatch;
   EXPECT_GE(stopwatch.ElapsedSeconds(), 0.0);
   EXPECT_GE(stopwatch.ElapsedMillis(), 0.0);
-  EXPECT_GE(stopwatch.ElapsedMicros(), 0.0);
 }
 
 TEST(StopwatchTest, ResetRestarts) {
@@ -231,38 +222,6 @@ TEST(StopwatchTest, ResetRestarts) {
   const double before = stopwatch.ElapsedSeconds();
   stopwatch.Reset();
   EXPECT_LE(stopwatch.ElapsedSeconds(), before + 1.0);
-}
-
-TEST(StopwatchTest, PauseFreezesTheTotal) {
-  Stopwatch stopwatch;
-  EXPECT_TRUE(stopwatch.IsRunning());
-  stopwatch.Pause();
-  EXPECT_FALSE(stopwatch.IsRunning());
-  const double frozen = stopwatch.ElapsedSeconds();
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  // Paused time must not accumulate.
-  EXPECT_DOUBLE_EQ(stopwatch.ElapsedSeconds(), frozen);
-  stopwatch.Pause();  // Idempotent.
-  EXPECT_DOUBLE_EQ(stopwatch.ElapsedSeconds(), frozen);
-}
-
-TEST(StopwatchTest, ResumeAccumulatesAcrossSegments) {
-  Stopwatch stopwatch;
-  stopwatch.Pause();
-  const double first_segment = stopwatch.ElapsedSeconds();
-  stopwatch.Resume();
-  EXPECT_TRUE(stopwatch.IsRunning());
-  stopwatch.Resume();  // Idempotent.
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  stopwatch.Pause();
-  // The second segment adds on top of the frozen first one.
-  EXPECT_GE(stopwatch.ElapsedSeconds(), first_segment);
-  // Reset clears the accumulation and leaves the watch running.
-  stopwatch.Reset();
-  EXPECT_TRUE(stopwatch.IsRunning());
-  EXPECT_LT(stopwatch.ElapsedSeconds(), 1.0);
 }
 
 }  // namespace

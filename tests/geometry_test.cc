@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.h"
-#include "geometry/box.h"
 #include "geometry/point.h"
 
 namespace ukc {
@@ -70,15 +67,6 @@ TEST(DistanceTest, L1AndLInf) {
   EXPECT_DOUBLE_EQ(LInfDistance(a, b), 3.0);
 }
 
-TEST(DistanceTest, LpInterpolatesBetweenL1AndL2) {
-  Point a{0.0, 0.0};
-  Point b{1.0, 1.0};
-  EXPECT_DOUBLE_EQ(LpDistance(a, b, 1.0), 2.0);
-  EXPECT_NEAR(LpDistance(a, b, 2.0), std::sqrt(2.0), 1e-12);
-  // Lp decreases in p.
-  EXPECT_GT(LpDistance(a, b, 1.5), LpDistance(a, b, 3.0));
-}
-
 TEST(DistanceTest, TriangleInequalityRandom) {
   Rng rng(1);
   for (int trial = 0; trial < 200; ++trial) {
@@ -92,65 +80,9 @@ TEST(DistanceTest, TriangleInequalityRandom) {
   }
 }
 
-TEST(LerpTest, Endpoints) {
-  Point a{0.0, 0.0};
-  Point b{2.0, 4.0};
-  EXPECT_EQ(Lerp(a, b, 0.0), a);
-  EXPECT_EQ(Lerp(a, b, 1.0), b);
-  EXPECT_EQ(Lerp(a, b, 0.5), (Point{1.0, 2.0}));
-}
-
 TEST(CentroidTest, Mean) {
   std::vector<Point> points = {{0.0, 0.0}, {2.0, 0.0}, {1.0, 3.0}};
   EXPECT_EQ(Centroid(points), (Point{1.0, 1.0}));
-}
-
-TEST(WeightedCentroidTest, RespectsWeights) {
-  std::vector<Point> points = {{0.0}, {10.0}};
-  EXPECT_EQ(WeightedCentroid(points, {1.0, 3.0}), (Point{7.5}));
-  EXPECT_EQ(WeightedCentroid(points, {1.0, 0.0}), (Point{0.0}));
-}
-
-TEST(WeightedCentroidDeathTest, RejectsAllZeroWeights) {
-  std::vector<Point> points = {{0.0}, {1.0}};
-  EXPECT_DEATH(WeightedCentroid(points, {0.0, 0.0}), "CHECK failed");
-}
-
-TEST(BoxTest, BoundingBox) {
-  std::vector<Point> points = {{1.0, 5.0}, {-2.0, 3.0}, {0.0, 7.0}};
-  Box box = Box::BoundingBox(points);
-  EXPECT_EQ(box.lo(), (Point{-2.0, 3.0}));
-  EXPECT_EQ(box.hi(), (Point{1.0, 7.0}));
-  EXPECT_DOUBLE_EQ(box.Extent(0), 3.0);
-  EXPECT_DOUBLE_EQ(box.Extent(1), 4.0);
-  EXPECT_DOUBLE_EQ(box.MaxExtent(), 4.0);
-  EXPECT_DOUBLE_EQ(box.Diagonal(), 5.0);
-}
-
-TEST(BoxTest, ContainsAndExpand) {
-  Box box(Point{0.0, 0.0}, Point{1.0, 1.0});
-  EXPECT_TRUE(box.Contains(Point{0.5, 0.5}));
-  EXPECT_TRUE(box.Contains(Point{0.0, 1.0}));  // Boundary inclusive.
-  EXPECT_FALSE(box.Contains(Point{1.5, 0.5}));
-  box.Expand(Point{2.0, -1.0});
-  EXPECT_TRUE(box.Contains(Point{1.5, 0.0}));
-}
-
-TEST(BoxTest, Inflate) {
-  Box box(Point{0.0}, Point{1.0});
-  box.Inflate(0.5);
-  EXPECT_TRUE(box.Contains(Point{-0.4}));
-  EXPECT_TRUE(box.Contains(Point{1.4}));
-  EXPECT_FALSE(box.Contains(Point{1.6}));
-}
-
-TEST(BoxTest, Center) {
-  Box box(Point{0.0, 2.0}, Point{4.0, 6.0});
-  EXPECT_EQ(box.Center(), (Point{2.0, 4.0}));
-}
-
-TEST(BoxDeathTest, RejectsInvertedCorners) {
-  EXPECT_DEATH(Box(Point{1.0}, Point{0.0}), "CHECK failed");
 }
 
 }  // namespace

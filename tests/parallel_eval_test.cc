@@ -8,7 +8,7 @@
 //
 // Also covers the ThreadPool itself (full coverage of the index space,
 // worker ids in range), the thread-count invariance of the routed
-// consumers (unassigned local search, k-median local search, refine)
+// consumers (unassigned local search, refine)
 // and the pool-size invariance of every facade that borrows a
 // ThreadPool*: a null pool (inline on the calling thread) and pools of
 // 1, 2 and 4 workers must give bitwise equal outputs.
@@ -35,7 +35,6 @@
 #include "cost/parallel_evaluator.h"
 #include "exper/instances.h"
 #include "solver/gonzalez.h"
-#include "solver/kmedian_local_search.h"
 #include "solver/refine.h"
 #include "stream/ingest.h"
 #include "stream/pipeline.h"
@@ -223,36 +222,6 @@ TEST(ConsumerDeterminismTest, ExactUnassignedTinyIsThreadCountInvariant) {
     }
     EXPECT_EQ(solution->centers, reference_centers) << "threads=" << threads;
     EXPECT_EQ(solution->expected_cost, reference_cost);
-  }
-}
-
-TEST(ConsumerDeterminismTest, KMedianLocalSearchIsThreadCountInvariant) {
-  Rng rng(31);
-  const size_t clients = 40;
-  const size_t facilities = 25;
-  std::vector<std::vector<double>> cost(clients);
-  for (auto& row : cost) {
-    row.reserve(facilities);
-    for (size_t f = 0; f < facilities; ++f) {
-      row.push_back(rng.UniformDouble(0.0, 10.0));
-    }
-  }
-  std::vector<size_t> reference_facilities;
-  double reference_cost = 0.0;
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    solver::KMedianOptions options;
-    options.pool = &pool;
-    auto solution = solver::KMedianLocalSearch(cost, 5, options);
-    ASSERT_TRUE(solution.ok()) << solution.status();
-    if (threads == 1) {
-      reference_facilities = solution->facilities;
-      reference_cost = solution->total_cost;
-      continue;
-    }
-    EXPECT_EQ(solution->facilities, reference_facilities)
-        << "threads=" << threads;
-    EXPECT_EQ(solution->total_cost, reference_cost);
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the continuous 1-center substrate: circumscribed balls,
-// Welzl's exact minimum enclosing ball, Bădoiu–Clarkson, the exact
-// partition k-center, and the weighted geometric median.
+// Welzl's exact minimum enclosing ball, the exact partition k-center,
+// and the weighted geometric median.
 
 #include <gtest/gtest.h>
 
@@ -171,39 +171,6 @@ TEST(WelzlTest, DuplicatedPointsHandled) {
   auto ball = WelzlMinBall(points, rng);
   ASSERT_TRUE(ball.ok());
   EXPECT_NEAR(ball->radius, 1.0, 1e-9);
-}
-
-// --- Bădoiu–Clarkson ---
-
-TEST(BadoiuClarksonTest, RejectsBadInput) {
-  EXPECT_FALSE(BadoiuClarkson({}, 0.1).ok());
-  EXPECT_FALSE(BadoiuClarkson({Point{0.0}}, 0.0).ok());
-  EXPECT_FALSE(BadoiuClarkson({Point{0.0}}, 1.5).ok());
-}
-
-TEST(BadoiuClarksonTest, WithinOnePlusEpsOfWelzl) {
-  const double eps = 0.1;
-  for (uint64_t seed = 30; seed < 36; ++seed) {
-    const auto points = RandomPoints(80, 3, seed);
-    Rng rng(seed);
-    auto exact = WelzlMinBall(points, rng);
-    auto approx = BadoiuClarkson(points, eps);
-    ASSERT_TRUE(exact.ok());
-    ASSERT_TRUE(approx.ok());
-    EXPECT_GE(approx->radius, exact->radius - 1e-9);
-    EXPECT_LE(approx->radius, (1.0 + eps) * exact->radius + 1e-9);
-  }
-}
-
-TEST(BadoiuClarksonTest, HighDimension) {
-  const auto points = RandomPoints(50, 16, 41);
-  auto approx = BadoiuClarkson(points, 0.2);
-  ASSERT_TRUE(approx.ok());
-  double farthest = 0.0;
-  for (const Point& p : points) {
-    farthest = std::max(farthest, geometry::Distance(approx->center, p));
-  }
-  EXPECT_NEAR(approx->radius, farthest, 1e-9);
 }
 
 // --- Exact partition k-center ---
