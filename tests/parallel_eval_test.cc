@@ -8,10 +8,10 @@
 //
 // Also covers the ThreadPool itself (full coverage of the index space,
 // worker ids in range), the thread-count invariance of the routed
-// consumers (unassigned local search, refine)
-// and the pool-size invariance of every facade that borrows a
-// ThreadPool*: a null pool (inline on the calling thread) and pools of
-// 1, 2 and 4 workers must give bitwise equal outputs.
+// consumers (unassigned local search, refine) and the pool-size
+// invariance of every facade that borrows a ThreadPool*: a null pool
+// (inline on the calling thread) and pools of 1, 2 and 4 workers must
+// give bitwise equal outputs.
 
 #include <gtest/gtest.h>
 
