@@ -21,7 +21,6 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "cost/expected_cost_evaluator.h"
-#include "cost/parallel_evaluator.h"
 #include "exper/instances.h"
 #include "obs/metrics.h"
 #include "serve/registry.h"
@@ -80,85 +79,6 @@ const bool kUnassignedCostRegistered = [] {
   }
   return true;
 }();
-
-// A local-search trajectory through SwapCostMatrix from the Gonzalez
-// k = 8 seed over a 16-candidate pool: each round accepts the argmin
-// non-identity swap, the access pattern of LocalSearchUnassigned.
-void SwapRounds(benchmark::State& state, size_t rounds,
-                cost::ParallelCandidateEvaluator* parallel) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto dataset = MakeDataset(n);
-  const auto sites = dataset.LocationSites();
-  auto seed = solver::Gonzalez(dataset.space(), sites, 8);
-  std::vector<metric::SiteId> pool;
-  for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
-  for (auto _ : state) {
-    auto centers = seed->centers;
-    for (size_t round = 0; round < rounds; ++round) {
-      auto values = parallel->SwapCostMatrix(dataset, centers, pool);
-      UKC_CHECK(values.ok()) << values.status();
-      double best = std::numeric_limits<double>::infinity();
-      size_t best_position = 0;
-      metric::SiteId best_candidate = centers[0];
-      for (size_t p = 0; p < centers.size(); ++p) {
-        for (size_t c = 0; c < pool.size(); ++c) {
-          if (pool[c] == centers[p]) continue;
-          const double value = (*values)[p * pool.size() + c];
-          if (value < best) {
-            best = value;
-            best_position = p;
-            best_candidate = pool[c];
-          }
-        }
-      }
-      centers[best_position] = best_candidate;
-    }
-    benchmark::DoNotOptimize(centers);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rounds * 8 * pool.size()));
-}
-
-// Two rounds with the snapshot ladder compacted or full: wall time,
-// resident ladder bytes, total swap-base bytes, everything the engine
-// keeps between rounds (swap_state_bytes), and the registry's
-// escalation / replayed-event counts per iteration.
-void SwapLadderRounds(benchmark::State& state, bool compact) {
-  cost::ParallelCandidateEvaluator::Options options;
-  options.threads = 1;
-  options.evaluator.compact_swap_ladder = compact;
-  cost::ParallelCandidateEvaluator parallel(options);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  const obs::RegistrySnapshot before = metrics.Snapshot();
-  SwapRounds(state, /*rounds=*/2, &parallel);
-  const obs::RegistrySnapshot after = metrics.Snapshot();
-  const auto per_iteration = [&](const char* counter) {
-    return static_cast<double>(after.CounterTotal(counter) -
-                               before.CounterTotal(counter)) /
-           static_cast<double>(state.iterations());
-  };
-  state.counters["ladder_bytes"] =
-      static_cast<double>(parallel.SwapLadderBytes());
-  state.counters["swap_base_bytes"] =
-      static_cast<double>(parallel.SwapBaseMemoryBytes());
-  state.counters["swap_state_bytes"] =
-      static_cast<double>(parallel.SwapStateBytes());
-  state.counters["escalations"] = per_iteration("ukc_ladder_escalations_total");
-  state.counters["replayed_events"] =
-      per_iteration("ukc_ladder_replayed_events_total");
-}
-
-// Evidence for ExpectedCostEvaluator::Options::compact_swap_ladder:
-// ladder_bytes falls 7n -> 2n doubles per table, at the time both show.
-void BM_SwapLadderCompact(benchmark::State& state) {
-  SwapLadderRounds(state, /*compact=*/true);
-}
-BENCHMARK(BM_SwapLadderCompact)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SwapLadderFull(benchmark::State& state) {
-  SwapLadderRounds(state, /*compact=*/false);
-}
-BENCHMARK(BM_SwapLadderFull)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // --- Observability (obs/) ---------------------------------------------------
 

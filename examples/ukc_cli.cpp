@@ -48,9 +48,10 @@
 //   --serve-ops        mixed operations to drive
 //   --serve-queue-cap  per-tenant admission queue bound (overload
 //                      beyond it sheds the newest submission)
-//   --serve-snapshot-dir   directory for per-tenant failover sidecars
-//                          (empty = snapshots off); the session ends
-//                          with a kill-and-restore of tenant 0
+//   --serve-snapshot-dir   directory for per-tenant failover sidecars,
+//                          each write fsynced (empty = snapshots off);
+//                          the session ends with a kill-and-restore of
+//                          tenant 0
 //   --serve-snapshot-every acked appends between cadence snapshots
 //   --deadline-us      per-query wall-clock budget (0 = unbounded)
 //   --deadline-checks  per-query deterministic check budget (0 = off;
@@ -316,6 +317,7 @@ int main(int argc, char** argv) {
       const std::string id = "tenant-" + std::to_string(t);
       if (!serve_snapshot_dir.empty()) {
         config.snapshot_path = serve_snapshot_dir + "/" + id + ".ckpt";
+        config.snapshot_sync = true;
       }
       if (auto created = registry.CreateTenant(id, config); !created.ok()) {
         return Fail(created.status());

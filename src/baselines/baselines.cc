@@ -50,9 +50,11 @@ Result<BaselineResult> FinishWithED(const uncertain::UncertainDataset& dataset,
 }
 
 // The highest-probability core of point i: drop the lowest-probability
-// locations until just before the removed mass would exceed delta.
+// locations until just before the removed mass would exceed the tail
+// mass kTruncationDelta.
 std::vector<uncertain::Location> TruncatedCore(
-    const uncertain::UncertainDataset& dataset, size_t i, double delta) {
+    const uncertain::UncertainDataset& dataset, size_t i) {
+  constexpr double kTruncationDelta = 0.25;
   const uncertain::LocationRange range = dataset.point(i).locations();
   std::vector<uncertain::Location> kept(range.begin(), range.end());
   std::sort(kept.begin(), kept.end(),
@@ -60,7 +62,8 @@ std::vector<uncertain::Location> TruncatedCore(
               return a.probability > b.probability;
             });
   double removed = 0.0;
-  while (kept.size() > 1 && removed + kept.back().probability <= delta) {
+  while (kept.size() > 1 &&
+         removed + kept.back().probability <= kTruncationDelta) {
     removed += kept.back().probability;
     kept.pop_back();
   }
@@ -71,8 +74,7 @@ std::vector<uncertain::Location> TruncatedCore(
 // are computed in parallel (pure reads); Euclidean surrogates are
 // minted into the space serially afterwards, in point order.
 Result<std::vector<SiteId>> TruncatedMedianSurrogates(
-    uncertain::UncertainDataset* dataset, double delta,
-    ThreadPool* shared_pool) {
+    uncertain::UncertainDataset* dataset, ThreadPool* shared_pool) {
   const size_t n = dataset->n();
   ScopedPool pool(shared_pool, 1);
   if (dataset->is_euclidean()) {
@@ -80,7 +82,7 @@ Result<std::vector<SiteId>> TruncatedMedianSurrogates(
     std::vector<geometry::Point> medians(n);
     std::vector<Status> statuses(n);
     pool->ParallelFor(n, [&](int, size_t i) {
-      const auto kept = TruncatedCore(*dataset, i, delta);
+      const auto kept = TruncatedCore(*dataset, i);
       std::vector<geometry::Point> points;
       std::vector<double> weights;
       points.reserve(kept.size());
@@ -111,7 +113,7 @@ Result<std::vector<SiteId>> TruncatedMedianSurrogates(
   const metric::MetricSpace& space = dataset->space();
   std::vector<SiteId> surrogates(n, metric::kInvalidSite);
   pool->ParallelFor(n, [&](int, size_t i) {
-    const auto kept = TruncatedCore(*dataset, i, delta);
+    const auto kept = TruncatedCore(*dataset, i);
     SiteId best = kept[0].site;
     double best_value = std::numeric_limits<double>::infinity();
     for (const uncertain::Location& candidate : kept) {
@@ -179,14 +181,8 @@ Result<BaselineResult> RunBaseline(uncertain::UncertainDataset* dataset,
                           std::move(shuffled), options.pool);
     }
     case BaselineKind::kTruncatedMedian: {
-      if (!(options.truncation_delta >= 0.0) || options.truncation_delta >= 1.0) {
-        return Status::InvalidArgument(
-            "RunBaseline: truncation_delta must be in [0, 1)");
-      }
-      UKC_ASSIGN_OR_RETURN(
-          std::vector<SiteId> surrogates,
-          TruncatedMedianSurrogates(dataset, options.truncation_delta,
-                                    options.pool));
+      UKC_ASSIGN_OR_RETURN(std::vector<SiteId> surrogates,
+                           TruncatedMedianSurrogates(dataset, options.pool));
       UKC_ASSIGN_OR_RETURN(solver::KCenterSolution certain,
                            solver::Gonzalez(space, surrogates, options.k));
       return FinishWithED(*dataset, &evaluator, BaselineKindToString(kind),

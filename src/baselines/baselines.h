@@ -35,8 +35,8 @@ enum class BaselineKind {
   /// k locations drawn uniformly at random as centers, ED assignment.
   kRandomCenters,
   /// Guha–Munagala-style: truncate each distribution to its
-  /// highest-probability core (dropping a delta tail), take the
-  /// truncated 1-median as surrogate, Gonzalez, ED assignment.
+  /// highest-probability core (dropping a tail of mass at most 0.25),
+  /// take the truncated 1-median as surrogate, Gonzalez, ED assignment.
   kTruncatedMedian,
 };
 
@@ -46,8 +46,6 @@ std::string BaselineKindToString(BaselineKind kind);
 struct BaselineOptions {
   size_t k = 1;
   uint64_t seed = 5;
-  /// Tail mass dropped by kTruncatedMedian.
-  double truncation_delta = 0.25;
   /// Borrowed worker pool sharding the per-point surrogate computation
   /// and the ED assignment; null runs them inline on the calling
   /// thread. Results do not depend on the pool.

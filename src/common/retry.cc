@@ -55,17 +55,12 @@ Status RetryTransient(const RetryOptions& options,
                       const std::function<Status()>& op, RetryStats* stats) {
   const int attempts = std::max(1, options.max_attempts);
   const RetryCounters counters = CountersForSite(options);
-  const auto should_retry = [&options](const Status& status) {
-    if (status.ok()) return false;
-    if (options.retry_if != nullptr) return options.retry_if(status);
-    return status.IsTransientError();
-  };
   Status last = Status::OK();
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     if (stats != nullptr) ++stats->attempts;
     counters.attempts->Increment();
     last = op();
-    if (!should_retry(last)) return last;  // Success or permanent.
+    if (!last.IsTransientError()) return last;  // Success or permanent.
     if (attempt == attempts) break;
     if (stats != nullptr) ++stats->retries;
     counters.retries->Increment();

@@ -39,17 +39,10 @@ struct RetryOptions {
   /// Sleep hook; null = std::this_thread::sleep_for. Tests inject a
   /// recorder to assert the schedule without wall-clock waits.
   std::function<void(std::chrono::nanoseconds)> sleeper;
-  /// Retry-classification hook; null = Status::IsTransientError (the
-  /// historical behavior: retry exactly kUnavailable). Call sites that
-  /// must not amplify a particular kUnavailable — the serve layer's
-  /// load-shed rejection is the motivating case — inject a narrower
-  /// predicate here instead of widening the global IsTransient rule.
-  /// The predicate is never consulted on OK statuses.
-  std::function<bool(const Status&)> retry_if;
   /// Observability: every loop emits ukc_retry_{attempts,retries,
   /// exhausted}_total{site=metrics_site} through `metrics` (null = the
   /// process-wide obs::MetricsRegistry::Default()). The site label
-  /// scopes the counters per boundary ("ingest.read", "serve.submit");
+  /// scopes the counters per boundary ("ingest.read");
   /// callers that hand-counted RetryStats into their own stat structs
   /// keep working, but the registry is the queryable surface.
   std::string metrics_site = "default";

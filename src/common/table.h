@@ -30,9 +30,6 @@ class TablePrinter {
   /// Renders the aligned table.
   void Print(std::ostream& os) const;
 
-  /// Number of data rows so far.
-  size_t num_rows() const { return rows_.size(); }
-
   /// Formats a value for a cell: doubles with %.4g, strings verbatim.
   static std::string FormatCell(const std::string& value) { return value; }
   static std::string FormatCell(const char* value) { return value; }

@@ -47,6 +47,9 @@ Result<std::vector<SiteId>> DefaultCandidateSites(
 
 namespace {
 
+// Both exact solvers refuse to enumerate more center subsets than this.
+constexpr uint64_t kMaxCenterSubsets = 2'000'000;
+
 // Calls visit(centers) for every k-subset of candidates; stops early if
 // visit returns a non-OK status.
 Status ForEachSubset(const std::vector<SiteId>& candidates, size_t k,
@@ -67,7 +70,7 @@ Status ForEachSubset(const std::vector<SiteId>& candidates, size_t k,
 
 Result<ExactUncertainSolution> ExactRestrictedAssigned(
     uncertain::UncertainDataset* dataset, size_t k, cost::AssignmentRule rule,
-    const std::vector<SiteId>& candidates, const ExactTinyOptions& options) {
+    const std::vector<SiteId>& candidates) {
   if (dataset == nullptr) {
     return Status::InvalidArgument("ExactRestrictedAssigned: null dataset");
   }
@@ -76,10 +79,12 @@ Result<ExactUncertainSolution> ExactRestrictedAssigned(
         "ExactRestrictedAssigned: need 1 <= k <= |candidates|");
   }
   const uint64_t subsets = solver::BinomialCount(candidates.size(), k);
-  if (subsets > options.max_center_subsets) {
+  if (subsets > kMaxCenterSubsets) {
     return Status::InvalidArgument(
-        StrFormat("ExactRestrictedAssigned: %llu center subsets exceeds cap",
-                  static_cast<unsigned long long>(subsets)));
+        StrFormat("ExactRestrictedAssigned: %llu center subsets exceeds the "
+                  "cap %llu",
+                  static_cast<unsigned long long>(subsets),
+                  static_cast<unsigned long long>(kMaxCenterSubsets)));
   }
 
   // Prebuild the surrogate sites the rule needs, once.
@@ -118,7 +123,7 @@ Result<ExactUncertainSolution> ExactRestrictedAssigned(
 
 Result<ExactUncertainSolution> ExactUnrestrictedAssigned(
     uncertain::UncertainDataset* dataset, size_t k,
-    const std::vector<SiteId>& candidates, const ExactTinyOptions& options) {
+    const std::vector<SiteId>& candidates) {
   if (dataset == nullptr) {
     return Status::InvalidArgument("ExactUnrestrictedAssigned: null dataset");
   }
@@ -128,18 +133,23 @@ Result<ExactUncertainSolution> ExactUnrestrictedAssigned(
   }
   const size_t n = dataset->n();
   const uint64_t subsets = solver::BinomialCount(candidates.size(), k);
-  if (subsets > options.max_center_subsets) {
+  if (subsets > kMaxCenterSubsets) {
     return Status::InvalidArgument(
-        StrFormat("ExactUnrestrictedAssigned: %llu center subsets exceeds cap",
-                  static_cast<unsigned long long>(subsets)));
+        StrFormat("ExactUnrestrictedAssigned: %llu center subsets exceeds "
+                  "the cap %llu",
+                  static_cast<unsigned long long>(subsets),
+                  static_cast<unsigned long long>(kMaxCenterSubsets)));
   }
   // k^n assignments per subset.
+  constexpr uint64_t kMaxAssignments = 2'000'000;
   double assignments_log = static_cast<double>(n) * std::log2(static_cast<double>(k));
   if (assignments_log > 62 ||
       static_cast<uint64_t>(std::pow(static_cast<double>(k), static_cast<double>(n))) >
-          options.max_assignments) {
+          kMaxAssignments) {
     return Status::InvalidArgument(
-        "ExactUnrestrictedAssigned: k^n assignments exceeds cap");
+        StrFormat("ExactUnrestrictedAssigned: k^n assignments exceeds the "
+                  "cap %llu",
+                  static_cast<unsigned long long>(kMaxAssignments)));
   }
 
   ExactUncertainSolution best;

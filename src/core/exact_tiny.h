@@ -35,12 +35,6 @@ struct ExactUncertainSolution {
   double expected_cost = 0.0;
 };
 
-/// Enumeration caps.
-struct ExactTinyOptions {
-  uint64_t max_center_subsets = 2'000'000;
-  uint64_t max_assignments = 2'000'000;
-};
-
 /// Builds a dense candidate-center set for exact enumeration: every
 /// location site, plus (for Euclidean instances) each point's expected
 /// point and weighted geometric median, minted into the space. In a
@@ -49,17 +43,17 @@ Result<std::vector<metric::SiteId>> DefaultCandidateSites(
     uncertain::UncertainDataset* dataset);
 
 /// Optimal centers among `candidates` under the fixed assignment rule.
+/// Refuses more than 2'000'000 center subsets.
 Result<ExactUncertainSolution> ExactRestrictedAssigned(
     uncertain::UncertainDataset* dataset, size_t k, cost::AssignmentRule rule,
-    const std::vector<metric::SiteId>& candidates,
-    const ExactTinyOptions& options = {});
+    const std::vector<metric::SiteId>& candidates);
 
 /// Optimal centers among `candidates` and optimal assignment (all k^n
-/// assignments enumerated per subset).
+/// assignments enumerated per subset). Refuses more than 2'000'000
+/// center subsets or more than 2'000'000 assignments per subset.
 Result<ExactUncertainSolution> ExactUnrestrictedAssigned(
     uncertain::UncertainDataset* dataset, size_t k,
-    const std::vector<metric::SiteId>& candidates,
-    const ExactTinyOptions& options = {});
+    const std::vector<metric::SiteId>& candidates);
 
 /// Evaluates the 1-center objective E[max_i d(P̂_i, q)] at a free point
 /// q (Euclidean datasets only), without minting q into the space.

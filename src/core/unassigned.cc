@@ -15,17 +15,18 @@ using metric::SiteId;
 
 Result<UnassignedSolution> ExactUnassignedTiny(
     const uncertain::UncertainDataset& dataset, size_t k,
-    const std::vector<SiteId>& candidates, uint64_t max_subsets,
-    ThreadPool* pool) {
+    const std::vector<SiteId>& candidates, ThreadPool* pool) {
   if (k == 0 || k > candidates.size()) {
     return Status::InvalidArgument(
         "ExactUnassignedTiny: need 1 <= k <= |candidates|");
   }
+  constexpr uint64_t kMaxSubsets = 2'000'000;
   const uint64_t subsets = solver::BinomialCount(candidates.size(), k);
-  if (subsets > max_subsets) {
+  if (subsets > kMaxSubsets) {
     return Status::InvalidArgument(
-        StrFormat("ExactUnassignedTiny: %llu subsets exceeds the cap",
-                  static_cast<unsigned long long>(subsets)));
+        StrFormat("ExactUnassignedTiny: %llu subsets exceeds the cap %llu",
+                  static_cast<unsigned long long>(subsets),
+                  static_cast<unsigned long long>(kMaxSubsets)));
   }
 
   // The enumeration shards over the pool: task t covers the contiguous

@@ -52,11 +52,10 @@ struct UnassignedSolution {
 /// ties, where the lexicographically first subset wins — and the
 /// returned cost are bitwise independent of the borrowed `pool` and
 /// identical to a serial scan. A null `pool` runs the enumeration
-/// inline on the calling thread.
+/// inline on the calling thread. Refuses more than 2'000'000 subsets.
 Result<UnassignedSolution> ExactUnassignedTiny(
     const uncertain::UncertainDataset& dataset, size_t k,
-    const std::vector<metric::SiteId>& candidates,
-    uint64_t max_subsets = 2'000'000, ThreadPool* pool = nullptr);
+    const std::vector<metric::SiteId>& candidates, ThreadPool* pool = nullptr);
 
 /// Options for LocalSearchUnassigned.
 struct UnassignedSearchOptions {

@@ -500,14 +500,13 @@ Status ExpectedCostEvaluator::BuildSwapBase(
     snapshot.zeros = product.zeros;
     snapshot.mantissa = product.mantissa;
     snapshot.exponent = product.exponent;
-    // Ladder compaction: only rung 0 and the deepest rung keep their
-    // n-length CDF resident (2·n instead of kSwapLadderRungs·n doubles
-    // per table); an intermediate rung is re-derived on escalation by
-    // replaying events[deepest.index, index) — see
-    // ScoreSwapFromChanged. The swap releases the capacity, not just
-    // the size: held capacity would defeat the compaction.
-    if (!options_.compact_swap_ladder || level == 0 ||
-        level == static_cast<int>(kSwapLadderRungs) - 1) {
+    // Only rung 0 and the deepest rung keep their n-length CDF
+    // resident (2·n instead of kSwapLadderRungs·n doubles per table);
+    // an intermediate rung is re-derived on escalation by replaying
+    // events[deepest.index, index) — see ScoreSwapFromChanged. The
+    // swap releases the capacity, not just the size: held capacity
+    // would defeat the compaction.
+    if (level == 0 || level == static_cast<int>(kSwapLadderRungs) - 1) {
       snapshot.cdf.assign(cdf.begin(), cdf.end());
     } else {
       std::vector<double>().swap(snapshot.cdf);
@@ -818,12 +817,12 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
   //   - new value at/above the threshold: a regular tail-merge event.
   const double threshold = level->threshold;
   if (level->cdf.empty()) {
-    // Compacted intermediate rung: re-derive its CDF from the deepest
-    // rung (always resident) by replaying the base prefix
+    // Intermediate rung: re-derive its CDF from the deepest rung
+    // (always resident) by replaying the base prefix
     // events[deepest.index, level->index) — the same per-variable
     // additions in the same order BuildSwapBase applied them, so the
-    // result is bitwise identical to the rung the reference ladder
-    // stores. The derivation is cached per (table build, rung):
+    // result is bitwise identical to the CDF the build sweep held at
+    // this rung. The derivation is cached per (table build, rung):
     // every further candidate of the round escalating to this rung
     // reuses it, so the O(prefix) replay is paid once per evaluator,
     // not once per candidate.
@@ -913,18 +912,6 @@ void ExpectedCostEvaluator::CheckScratchReservation() const {
   UKC_CHECK_GE(cdf_.capacity(), scratch_reservation_points_)
       << "ExpectedCostEvaluator: CDF scratch shrank below its "
          "ReserveScratch reservation mid-trajectory";
-}
-
-size_t ExpectedCostEvaluator::SwapBase::LadderBytes() const {
-  // Snapshot CDFs only — the storage compact_swap_ladder shrinks 7n ->
-  // 2n doubles. The escalation side tables (bottleneck flags, deep
-  // points) exist identically in both variants and are accounted in
-  // ParallelCandidateEvaluator::SwapBaseMemoryBytes.
-  size_t bytes = 0;
-  for (const Snapshot& snapshot : levels) {
-    bytes += snapshot.cdf.capacity() * sizeof(double);
-  }
-  return bytes;
 }
 
 template <typename DistanceOfLocation>

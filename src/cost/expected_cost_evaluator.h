@@ -113,14 +113,6 @@ class ExpectedCostEvaluator {
     /// by construction (every evaluation rewrites it from scratch), so
     /// no cleanup beyond returning is needed.
     Deadline deadline;
-    /// Store only rung 0 and the deepest rung's per-point CDF in
-    /// SwapBase (the ~3.5x ladder memory compaction); an escalation
-    /// that lands on an intermediate rung re-derives its CDF once per
-    /// candidate by replaying events[deepest.index, rung.index) —
-    /// bitwise identical to the stored rung. false keeps all
-    /// kSwapLadderRungs CDFs resident (the reference ladder). Bytes and
-    /// time of both: micro_bench BM_SwapLadderCompact / BM_SwapLadderFull.
-    bool compact_swap_ladder = true;
   };
 
   ExpectedCostEvaluator() = default;
@@ -178,12 +170,12 @@ class ExpectedCostEvaluator {
   static constexpr size_t kSwapLadderRungs = 7;
 
   struct SwapBase {
-    /// One rung: the sweep state just below `threshold`. Under
-    /// Options::compact_swap_ladder only rung 0 and the deepest rung
-    /// keep their `cdf` resident; an intermediate rung's CDF is
-    /// re-derived on demand from the deepest rung by replaying
-    /// events[deepest.index, index) — the product state (zeros,
-    /// mantissa, exponent) stays stored, it is O(1).
+    /// One rung: the sweep state just below `threshold`. Only rung 0
+    /// and the deepest rung keep their `cdf` resident (2n instead of
+    /// kSwapLadderRungs·n doubles per table); an intermediate rung's
+    /// `cdf` is empty and is re-derived on demand from the deepest rung
+    /// by replaying events[deepest.index, index) — the product state
+    /// (zeros, mantissa, exponent) stays stored, it is O(1).
     struct Snapshot {
       double threshold = 0.0;
       size_t index = 0;  // First event with value >= threshold.
@@ -212,14 +204,6 @@ class ExpectedCostEvaluator {
     /// address (ParallelCandidateEvaluator rebuilds every table on
     /// every SwapCostMatrix call) can never serve a stale derivation.
     uint64_t build_id = 0;
-
-    /// Resident bytes of the snapshot CDFs — exactly the storage
-    /// Options::compact_swap_ladder cuts 7n -> 2n doubles (~3.5x).
-    /// The event stream and the escalation side tables (bottleneck
-    /// flags, deep points), which both ladder variants hold
-    /// identically, are accounted in
-    /// ParallelCandidateEvaluator::SwapBaseMemoryBytes.
-    size_t LadderBytes() const;
   };
 
   /// Builds the presorted base tables for UnassignedCostSwapPresorted

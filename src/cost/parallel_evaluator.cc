@@ -148,17 +148,12 @@ Result<std::vector<double>> ParallelCandidateEvaluator::SwapCostMatrix(
   return values;
 }
 
-size_t ParallelCandidateEvaluator::SwapLadderBytes() const {
+size_t ParallelCandidateEvaluator::SwapBaseMemoryBytes() const {
   size_t bytes = 0;
   for (const ExpectedCostEvaluator::SwapBase& base : swap_bases_) {
-    bytes += base.LadderBytes();
-  }
-  return bytes;
-}
-
-size_t ParallelCandidateEvaluator::SwapBaseMemoryBytes() const {
-  size_t bytes = SwapLadderBytes();
-  for (const ExpectedCostEvaluator::SwapBase& base : swap_bases_) {
+    for (const ExpectedCostEvaluator::SwapBase::Snapshot& rung : base.levels) {
+      bytes += rung.cdf.capacity() * sizeof(double);
+    }
     bytes += base.events.capacity() * sizeof(ExpectedCostEvaluator::Event);
     bytes += base.bottleneck.capacity() * sizeof(uint8_t);
     bytes += base.deep_points.capacity() * sizeof(uint32_t);

@@ -92,13 +92,10 @@ class ParallelCandidateEvaluator {
       const std::vector<metric::SiteId>& centers,
       const std::vector<metric::SiteId>& pool);
 
-  /// Observability for the compacted snapshot ladder: SwapLadderBytes
-  /// is the resident snapshot-CDF bytes across the cached swap-base
-  /// tables (the storage the compaction shrinks); SwapBaseMemoryBytes
-  /// adds the event streams and escalation side tables on top. How
-  /// often the ladder escalates is counted in the obs registry
+  /// Resident bytes of the cached swap-base tables: the event streams,
+  /// the resident rung CDFs and the escalation side tables. How often
+  /// the ladder escalates is counted in the obs registry
   /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
-  size_t SwapLadderBytes() const;
   size_t SwapBaseMemoryBytes() const;
   /// Everything SwapCostMatrix keeps between calls: the base rows,
   /// d1 / d2 / owner, the location → point map and SwapBaseMemoryBytes

@@ -63,16 +63,6 @@ double Distance(const Point& a, const Point& b) {
   return std::sqrt(SquaredDistance(a, b));
 }
 
-double L1Distance(const Point& a, const Point& b) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  return L1DistanceKernel(a.coords().data(), b.coords().data(), a.dim());
-}
-
-double LInfDistance(const Point& a, const Point& b) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  return LInfDistanceKernel(a.coords().data(), b.coords().data(), a.dim());
-}
-
 Point Centroid(const std::vector<Point>& points) {
   UKC_CHECK(!points.empty());
   Point sum(points[0].dim());

@@ -83,12 +83,6 @@ double Distance(const Point& a, const Point& b);
 /// Squared Euclidean distance (no sqrt).
 double SquaredDistance(const Point& a, const Point& b);
 
-/// L1 (Manhattan) distance.
-double L1Distance(const Point& a, const Point& b);
-
-/// L∞ (Chebyshev) distance.
-double LInfDistance(const Point& a, const Point& b);
-
 /// The arithmetic mean of a non-empty set of points.
 Point Centroid(const std::vector<Point>& points);
 

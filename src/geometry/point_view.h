@@ -122,14 +122,6 @@ inline double Distance(PointView a, PointView b) {
   UKC_DCHECK_EQ(a.dim(), b.dim());
   return DistanceKernel(a.data(), b.data(), a.dim());
 }
-inline double L1Distance(PointView a, PointView b) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  return L1DistanceKernel(a.data(), b.data(), a.dim());
-}
-inline double LInfDistance(PointView a, PointView b) {
-  UKC_DCHECK_EQ(a.dim(), b.dim());
-  return LInfDistanceKernel(a.data(), b.data(), a.dim());
-}
 
 }  // namespace geometry
 }  // namespace ukc

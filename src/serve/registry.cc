@@ -248,22 +248,6 @@ Status TenantRegistry::SubmitDelete(
   return Status::OK();
 }
 
-Status TenantRegistry::SubmitAppendWithRetry(
-    const std::string& id, const uncertain::UncertainPointBatch& batch,
-    const RetryOptions& retry, RetryStats* retry_stats) {
-  RetryOptions options = retry;
-  options.metrics_site = "serve.submit";
-  options.metrics = metrics_;
-  // The serve-layer classification: retry transient failures, never
-  // sheds — re-submitting into a full queue amplifies the overload the
-  // shed exists to relieve.
-  options.retry_if = [](const Status& status) {
-    return status.IsTransientError() && !IsShed(status);
-  };
-  return RetryTransient(
-      options, [&]() { return SubmitAppend(id, batch); }, retry_stats);
-}
-
 void TenantRegistry::RecordFailure(Slot* slot, DrainResult* result) {
   ++slot->consecutive_failures;
   if (slot->consecutive_failures >= options_.degrade_after_failures &&

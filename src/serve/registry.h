@@ -4,10 +4,8 @@
 //   - Admission control: SubmitAppend enqueues into a bounded
 //     per-tenant FIFO queue; a full queue SHEDS the newest submission
 //     with a marked kUnavailable (serve/serve.h ShedStatus) instead of
-//     buffering unboundedly. SubmitAppendWithRetry shows the intended
-//     client loop: bounded retry of genuinely transient failures that
-//     explicitly opts out of retrying sheds (RetryOptions::retry_if) —
-//     re-submitting into a full queue only amplifies the overload.
+//     buffering unboundedly. A client never resubmits a shed into the
+//     same full queue — that only amplifies the overload.
 //   - Deterministic application: Drain() applies queued appends in a
 //     fixed order — tenants by ascending id, FIFO within a tenant —
 //     and drives the per-tenant snapshot cadence. Thread count never
@@ -36,7 +34,6 @@
 
 #include "common/deadline.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "obs/metrics.h"
 #include "serve/serve.h"
 #include "serve/tenant.h"
@@ -128,16 +125,6 @@ class TenantRegistry {
   /// tenant does not allow deletes.
   Status SubmitDelete(const std::string& id, uint64_t index,
                       const uncertain::UncertainPointBatch& point);
-
-  /// SubmitAppend under bounded retry with the serve-layer
-  /// classification: transient failures (injected kUnavailable
-  /// enqueue faults) retry on the RetryOptions schedule; SHEDS DO NOT
-  /// — a full queue needs Drain, not more submissions. This is the
-  /// RetryOptions::retry_if satellite in action.
-  Status SubmitAppendWithRetry(const std::string& id,
-                               const uncertain::UncertainPointBatch& batch,
-                               const RetryOptions& retry,
-                               RetryStats* retry_stats = nullptr);
 
   /// Applies every queued append in deterministic order and runs the
   /// watchdog: recovery probes for degraded tenants first, then the

@@ -64,7 +64,9 @@ struct TenantConfig {
   /// Take a snapshot every N acked appends (registry-driven cadence;
   /// 0 disables cadenced snapshots, explicit Snapshot() still works).
   uint64_t snapshot_every_appends = 16;
-  /// fsync snapshot writes (off in tests, on in production).
+  /// fsync snapshot writes. `ukc_cli --serve --serve-snapshot-dir`
+  /// turns it on; the tests and the e2ebench serve workload leave it
+  /// off.
   bool snapshot_sync = false;
   /// Sliding window: 0 = unbounded (the default); W > 0 retires old
   /// points so at most W + churn_bucket - 1 stream indices stay live.
@@ -87,8 +89,7 @@ struct TenantConfig {
 /// so naive clients may retry — but the serve layer's own ingest path
 /// must NOT re-submit into the same full queue (retry amplification
 /// under overload is how brownouts become blackouts), so sheds carry a
-/// recognizable message marker and SubmitAppendWithRetry opts out via
-/// RetryOptions::retry_if.
+/// recognizable message marker that IsShed detects.
 inline constexpr std::string_view kShedMessageMarker = "[load-shed]";
 
 /// Builds the kUnavailable shed status with the marker.

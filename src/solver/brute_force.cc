@@ -165,8 +165,7 @@ class SubsetSearch {
 
 Result<KCenterSolution> ExactDiscreteKCenter(
     const metric::MetricSpace& space, const std::vector<metric::SiteId>& sites,
-    const std::vector<metric::SiteId>& candidates, size_t k,
-    const BruteForceOptions& options) {
+    const std::vector<metric::SiteId>& candidates, size_t k) {
   if (k == 0) {
     return Status::InvalidArgument("ExactDiscreteKCenter: k must be >= 1");
   }
@@ -183,14 +182,15 @@ Result<KCenterSolution> ExactDiscreteKCenter(
     solution.radius = CoveringRadius(space, sites, candidates);
     return solution;
   }
+  constexpr uint64_t kMaxSubsets = 20'000'000;
   const uint64_t subsets = BinomialCount(candidates.size(), k);
-  if (subsets > options.max_subsets) {
+  if (subsets > kMaxSubsets) {
     return Status::InvalidArgument(
         StrFormat("ExactDiscreteKCenter: C(%zu,%zu)=%llu subsets exceeds the "
                   "limit %llu",
                   candidates.size(), k,
                   static_cast<unsigned long long>(subsets),
-                  static_cast<unsigned long long>(options.max_subsets)));
+                  static_cast<unsigned long long>(kMaxSubsets)));
   }
   SubsetSearch search(space, sites, candidates, k);
   return search.Run();

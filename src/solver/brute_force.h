@@ -11,20 +11,14 @@
 namespace ukc {
 namespace solver {
 
-/// Options for ExactDiscreteKCenter.
-struct BruteForceOptions {
-  /// Refuses instances where C(|candidates|, k) exceeds this, to keep
-  /// accidental exponential blowups out of test runs.
-  uint64_t max_subsets = 20'000'000;
-};
-
 /// Finds the optimal k centers *restricted to `candidates`* covering
 /// `sites`, by enumerating every k-subset with branch-and-bound pruning.
-/// approx_factor is 1 (with respect to the discrete optimum).
+/// approx_factor is 1 (with respect to the discrete optimum). Refuses
+/// instances where C(|candidates|, k) exceeds 20'000'000, to keep
+/// accidental exponential blowups out of test runs.
 Result<KCenterSolution> ExactDiscreteKCenter(
     const metric::MetricSpace& space, const std::vector<metric::SiteId>& sites,
-    const std::vector<metric::SiteId>& candidates, size_t k,
-    const BruteForceOptions& options = {});
+    const std::vector<metric::SiteId>& candidates, size_t k);
 
 /// Number of k-subsets of an m-set, saturating at uint64 max.
 uint64_t BinomialCount(uint64_t m, uint64_t k);

@@ -55,7 +55,6 @@ Result<KCenterSolution> SolveCertainKCenter(
         points.reserve(sites.size());
         for (metric::SiteId s : sites) points.push_back(euclidean->point(s));
         PartitionExactOptions exact_options;
-        exact_options.max_partitions = options.max_enumerations;
         exact_options.seed = options.seed;
         UKC_ASSIGN_OR_RETURN(ContinuousKCenterSolution continuous,
                              ExactPartitionKCenter(points, k, exact_options));
@@ -69,9 +68,7 @@ Result<KCenterSolution> SolveCertainKCenter(
         }
         return solution;
       }
-      BruteForceOptions brute_options;
-      brute_options.max_subsets = options.max_enumerations;
-      return ExactDiscreteKCenter(*space, sites, sites, k, brute_options);
+      return ExactDiscreteKCenter(*space, sites, sites, k);
     }
     case CertainSolverKind::kGridEpsilon: {
       auto* euclidean = dynamic_cast<metric::EuclideanSpace*>(space);

@@ -47,8 +47,6 @@ struct CertainSolverOptions {
   uint64_t seed = 11;
   /// Target eps for kGridEpsilon.
   double epsilon = 0.25;
-  /// Budget caps forwarded to the exact solvers.
-  uint64_t max_enumerations = 20'000'000;
   /// Borrowed worker pool, forwarded to the solvers that parallelize
   /// (currently kGonzalezRefined's refinement rounds); null runs them
   /// inline on the calling thread. The solution does not depend on the

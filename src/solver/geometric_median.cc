@@ -39,8 +39,7 @@ double FlatBoundingDiagonal(const double* coords, size_t count, size_t dim) {
 }  // namespace
 
 Result<GeometricMedianResult> WeightedGeometricMedianFlat(
-    const double* coords, size_t count, size_t dim, const double* weights,
-    const GeometricMedianOptions& options) {
+    const double* coords, size_t count, size_t dim, const double* weights) {
   if (count == 0) {
     return Status::InvalidArgument("WeightedGeometricMedian: no points");
   }
@@ -59,9 +58,13 @@ Result<GeometricMedianResult> WeightedGeometricMedianFlat(
     return result;
   }
 
+  // Convergence threshold on the step size, relative to the points'
+  // bounding-box diagonal.
+  constexpr double kRelativeTolerance = 1e-10;
+  constexpr size_t kMaxIterations = 1000;
   const double scale =
       std::max(FlatBoundingDiagonal(coords, count, dim), 1e-300);
-  const double step_tolerance = scale * options.relative_tolerance;
+  const double step_tolerance = scale * kRelativeTolerance;
   // Anchor-coincidence threshold: treat q as sitting on an anchor when
   // closer than this.
   const double snap = scale * 1e-14;
@@ -80,7 +83,7 @@ Result<GeometricMedianResult> WeightedGeometricMedianFlat(
 
   std::vector<double> numerator(dim);
   std::vector<double> pull(dim);
-  for (result.iterations = 0; result.iterations < options.max_iterations;
+  for (result.iterations = 0; result.iterations < kMaxIterations;
        ++result.iterations) {
     // T(q) = sum w_i p_i / d_i / sum w_i / d_i over anchors away from q;
     // Vardi–Zhang: if q coincides with anchor a, step only if the pull
@@ -140,8 +143,7 @@ Result<GeometricMedianResult> WeightedGeometricMedianFlat(
 }
 
 Result<GeometricMedianResult> WeightedGeometricMedian(
-    const std::vector<Point>& points, const std::vector<double>& weights,
-    const GeometricMedianOptions& options) {
+    const std::vector<Point>& points, const std::vector<double>& weights) {
   if (points.empty()) {
     return Status::InvalidArgument("WeightedGeometricMedian: no points");
   }
@@ -159,7 +161,7 @@ Result<GeometricMedianResult> WeightedGeometricMedian(
     coords.insert(coords.end(), p.coords().begin(), p.coords().end());
   }
   return WeightedGeometricMedianFlat(coords.data(), points.size(), dim,
-                                     weights.data(), options);
+                                     weights.data());
 }
 
 }  // namespace solver

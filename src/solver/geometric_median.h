@@ -19,14 +19,6 @@
 namespace ukc {
 namespace solver {
 
-/// Options for the Weiszfeld iteration.
-struct GeometricMedianOptions {
-  size_t max_iterations = 1000;
-  /// Convergence threshold on the step size, relative to the points'
-  /// bounding-box diagonal.
-  double relative_tolerance = 1e-10;
-};
-
 /// Result: the (near-)optimal point and its weighted-distance objective.
 struct GeometricMedianResult {
   geometry::Point median;
@@ -39,18 +31,18 @@ struct GeometricMedianResult {
 /// Minimizes Σ w_i d(p_i, q) over q in R^d. Weights must be positive;
 /// points must be non-empty and of uniform dimension. The objective is
 /// convex, and Weiszfeld converges to the global optimum; accuracy is
-/// bounded by the tolerance, not a constant factor.
+/// bounded by the step tolerance (1e-10 of the points' bounding-box
+/// diagonal, at most 1000 iterations), not a constant factor.
 Result<GeometricMedianResult> WeightedGeometricMedian(
     const std::vector<geometry::Point>& points,
-    const std::vector<double>& weights, const GeometricMedianOptions& options = {});
+    const std::vector<double>& weights);
 
 /// Same, over a flat row-major coordinate buffer (`count` points of
 /// dimension `dim`). The allocation-free core: the iteration touches
 /// only the caller's buffers plus O(dim) scratch. Preferred for hot
 /// paths (surrogate construction reads the arena directly).
 Result<GeometricMedianResult> WeightedGeometricMedianFlat(
-    const double* coords, size_t count, size_t dim, const double* weights,
-    const GeometricMedianOptions& options = {});
+    const double* coords, size_t count, size_t dim, const double* weights);
 
 }  // namespace solver
 }  // namespace ukc

@@ -15,7 +15,7 @@ namespace {
 // round over contiguous memory, no virtual dispatch in the inner loop.
 KCenterSolution GonzalezFlat(const metric::EuclideanSpace& space,
                              const std::vector<metric::SiteId>& sites,
-                             size_t num_centers, size_t first_index) {
+                             size_t num_centers) {
   const size_t dim = space.dim();
   const metric::Norm norm = space.norm();
   std::vector<double> coords;
@@ -28,7 +28,7 @@ KCenterSolution GonzalezFlat(const metric::EuclideanSpace& space,
 
   std::vector<double> nearest(sites.size(),
                               std::numeric_limits<double>::infinity());
-  size_t next = first_index;
+  size_t next = 0;
   for (size_t round = 0; round < num_centers; ++round) {
     solution.centers.push_back(sites[next]);
     const double* center = coords.data() + next * dim;
@@ -53,18 +53,14 @@ KCenterSolution GonzalezFlat(const metric::EuclideanSpace& space,
 
 Result<KCenterSolution> Gonzalez(const metric::MetricSpace& space,
                                  const std::vector<metric::SiteId>& sites,
-                                 size_t k, const GonzalezOptions& options) {
+                                 size_t k) {
   if (k == 0) return Status::InvalidArgument("Gonzalez: k must be >= 1");
   if (sites.empty()) return Status::InvalidArgument("Gonzalez: no sites");
-  if (options.first_index >= sites.size()) {
-    return Status::InvalidArgument("Gonzalez: first_index out of range");
-  }
   const size_t num_centers = std::min(k, sites.size());
 
   const auto* euclidean = dynamic_cast<const metric::EuclideanSpace*>(&space);
   if (euclidean != nullptr) {
-    KCenterSolution solution =
-        GonzalezFlat(*euclidean, sites, num_centers, options.first_index);
+    KCenterSolution solution = GonzalezFlat(*euclidean, sites, num_centers);
     if (num_centers == sites.size()) solution.radius = 0.0;
     return solution;
   }
@@ -77,7 +73,7 @@ Result<KCenterSolution> Gonzalez(const metric::MetricSpace& space,
   // nearest[i] = distance from sites[i] to the closest chosen center.
   std::vector<double> nearest(sites.size(),
                               std::numeric_limits<double>::infinity());
-  size_t next = options.first_index;
+  size_t next = 0;
   for (size_t round = 0; round < num_centers; ++round) {
     const metric::SiteId center = sites[next];
     solution.centers.push_back(center);

@@ -14,21 +14,14 @@
 namespace ukc {
 namespace solver {
 
-/// Options for Gonzalez.
-struct GonzalezOptions {
-  /// Index (into `sites`) of the first center. The guarantee holds for
-  /// any choice; exposing it allows derandomized sweeps in tests.
-  size_t first_index = 0;
-};
-
-/// Runs farthest-first traversal over `sites`, returning k centers drawn
-/// from `sites` with covering radius at most twice the optimal k-center
-/// radius (discrete or continuous, in any metric space). O(k·|sites|)
-/// distance evaluations. Fails if k == 0 or sites is empty; when
-/// k >= |sites| every site becomes a center (radius 0).
+/// Runs farthest-first traversal over `sites` from sites[0], returning k
+/// centers drawn from `sites` with covering radius at most twice the
+/// optimal k-center radius (discrete or continuous, in any metric
+/// space). O(k·|sites|) distance evaluations. Fails if k == 0 or sites
+/// is empty; when k >= |sites| every site becomes a center (radius 0).
 Result<KCenterSolution> Gonzalez(const metric::MetricSpace& space,
                                  const std::vector<metric::SiteId>& sites,
-                                 size_t k, const GonzalezOptions& options = {});
+                                 size_t k);
 
 }  // namespace solver
 }  // namespace ukc

@@ -39,9 +39,8 @@ inline bool TestBit(const std::vector<uint64_t>& bits, size_t i) {
 // One decision instance: candidate generation + bounded cover search.
 class Decision {
  public:
-  Decision(const std::vector<Point>& points, size_t k,
-           const GridKCenterOptions& options)
-      : points_(points), k_(k), options_(options) {}
+  Decision(const std::vector<Point>& points, size_t k)
+      : points_(points), k_(k) {}
 
   // Tries radius r with internal slack eps_prime; on success fills
   // `centers` with k (or fewer) candidate points of covering radius
@@ -54,6 +53,7 @@ class Decision {
 
     // Generate candidates: grid points within `reach` of any input
     // point, deduplicated by cell id.
+    constexpr size_t kMaxCandidates = 200'000;
     std::unordered_set<std::string> seen;
     std::vector<Point> candidates;
     std::vector<int64_t> lo(dim), hi(dim);
@@ -77,11 +77,11 @@ class Decision {
           }
           if (seen.insert(std::move(key)).second) {
             candidates.push_back(std::move(g));
-            if (candidates.size() > options_.max_candidates) {
+            if (candidates.size() > kMaxCandidates) {
               return Status::InvalidArgument(
                   StrFormat("GridKCenter: more than %zu candidates at r=%g; "
                             "increase eps or use another solver",
-                            options_.max_candidates, r));
+                            kMaxCandidates, r));
             }
           }
         }
@@ -156,7 +156,8 @@ class Decision {
                       const std::vector<std::vector<uint64_t>>& coverage,
                       const std::vector<std::vector<uint32_t>>& coverers,
                       const std::vector<uint64_t>& covered, size_t depth) {
-    if (++nodes_ > options_.max_nodes) {
+    constexpr uint64_t kMaxNodes = 5'000'000;
+    if (++nodes_ > kMaxNodes) {
       return Status::InvalidArgument(
           "GridKCenter: branch-and-bound node cap exceeded; increase eps or "
           "reduce k");
@@ -235,7 +236,6 @@ class Decision {
 
   const std::vector<Point>& points_;
   const size_t k_;
-  const GridKCenterOptions& options_;
   uint64_t nodes_ = 0;
   std::vector<uint32_t> chosen_;
   std::unordered_set<std::string> visited_;
@@ -296,7 +296,7 @@ Result<ContinuousKCenterSolution> GridKCenter(const std::vector<Point>& points,
   const double eps_prime = options.eps / 2.0;
   const double delta = options.eps / 8.0;
 
-  Decision decision(points, k, options);
+  Decision decision(points, k);
   double lo = greedy.radius / 2.0;
   double hi = greedy.radius;
   std::vector<Point> best_centers;

@@ -25,16 +25,13 @@ namespace solver {
 struct GridKCenterOptions {
   /// Target approximation: returned radius <= (1+eps) * optimum.
   double eps = 0.25;
-  /// Cap on the candidate-set size per decision (safety valve against
-  /// tiny eps in high dimension).
-  size_t max_candidates = 200'000;
-  /// Cap on branch-and-bound nodes per decision.
-  uint64_t max_nodes = 5'000'000;
 };
 
 /// Computes a (1+eps)-approximate k-center of `points` in R^d.
-/// Fails when the candidate or search caps would be exceeded (reduce k,
-/// increase eps, or use Gonzalez instead).
+/// Fails when a decision would exceed 200'000 candidates (a safety
+/// valve against tiny eps in high dimension) or 5'000'000
+/// branch-and-bound nodes (reduce k, increase eps, or use Gonzalez
+/// instead).
 Result<ContinuousKCenterSolution> GridKCenter(
     const std::vector<geometry::Point>& points, size_t k,
     const GridKCenterOptions& options = {});

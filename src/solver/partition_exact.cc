@@ -140,13 +140,14 @@ Result<ContinuousKCenterSolution> ExactPartitionKCenter(
       return Status::InvalidArgument("ExactPartitionKCenter: mixed dimensions");
     }
   }
+  constexpr uint64_t kMaxPartitions = 20'000'000;
   const uint64_t partitions = PartitionCount(points.size(), k);
-  if (partitions > options.max_partitions) {
+  if (partitions > kMaxPartitions) {
     return Status::InvalidArgument(
         StrFormat("ExactPartitionKCenter: %llu partitions exceeds the limit "
                   "%llu (n=%zu, k=%zu)",
                   static_cast<unsigned long long>(partitions),
-                  static_cast<unsigned long long>(options.max_partitions),
+                  static_cast<unsigned long long>(kMaxPartitions),
                   points.size(), k));
   }
   PartitionSearch search(points, k, options.seed);

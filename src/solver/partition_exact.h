@@ -30,13 +30,12 @@ struct ContinuousKCenterSolution {
 
 /// Options for ExactPartitionKCenter.
 struct PartitionExactOptions {
-  /// Refuses instances whose partition count exceeds this.
-  uint64_t max_partitions = 20'000'000;
   uint64_t seed = 17;  // Drives the Welzl shuffles.
 };
 
 /// Finds the optimal continuous k-center of `points` exactly. Intended
-/// for n <= ~14 with k <= 4; the partition count is checked up front.
+/// for n <= ~14 with k <= 4; the partition count is checked up front,
+/// and instances with more than 20'000'000 partitions are refused.
 Result<ContinuousKCenterSolution> ExactPartitionKCenter(
     const std::vector<geometry::Point>& points, size_t k,
     const PartitionExactOptions& options = {});

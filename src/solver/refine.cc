@@ -81,8 +81,12 @@ Result<KCenterSolution> RefineKCenter(metric::MetricSpace* space,
   best.radius = CoveringRadius(*space, sites, best.centers);
   best.algorithm = seed.algorithm + "+refine";
 
+  // Stop when a round improves the radius by less than this relative
+  // amount.
+  constexpr double kMinRelativeImprovement = 1e-9;
+  constexpr size_t kMaxRounds = 50;
   std::vector<metric::SiteId> centers = best.centers;
-  for (size_t round = 0; round < options.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRounds; ++round) {
     const auto clusters = AssignClusters(*space, sites, centers, *pool);
 
     // Recenter every non-empty cluster in parallel. The computation is
@@ -140,7 +144,7 @@ Result<KCenterSolution> RefineKCenter(metric::MetricSpace* space,
       best.radius = radius;
       best.centers = next;
     }
-    if (improvement < options.min_relative_improvement * best.radius) break;
+    if (improvement < kMinRelativeImprovement * best.radius) break;
     centers = next;
   }
   return best;

@@ -3,7 +3,8 @@
 // ball in Euclidean spaces, or its discrete 1-center in general metric
 // spaces. The covering radius never increases, so the seed solver's
 // guarantee is preserved while the constant improves markedly in
-// practice.
+// practice. At most 50 rounds run, and the loop stops early once a round
+// improves the radius by less than 1e-9 of it.
 
 #ifndef UKC_SOLVER_REFINE_H_
 #define UKC_SOLVER_REFINE_H_
@@ -22,10 +23,6 @@ namespace solver {
 
 /// Options for RefineKCenter.
 struct RefineOptions {
-  size_t max_rounds = 50;
-  /// Stop when a round improves the radius by less than this relative
-  /// amount.
-  double min_relative_improvement = 1e-9;
   uint64_t seed = 23;  // Drives Welzl shuffles.
   /// Borrowed worker pool sharding the per-site assignment and
   /// per-cluster recentering; null runs them inline on the calling

@@ -343,7 +343,7 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   if (options_.k == 0) {
     return Status::InvalidArgument("StreamingUncertainKCenter: k must be >= 1");
   }
-  if (options_.verify && options_.verify_buckets == 0) {
+  if (options_.verify_buckets == 0) {
     return Status::InvalidArgument(
         "StreamingUncertainKCenter: verify_buckets must be >= 1");
   }
@@ -384,8 +384,6 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.coreset_cost = cell_solution.cost;
   solution.coreset_radius = cell_solution.certain_radius;
   solution.timings.solve_seconds = stopwatch.ElapsedSeconds();
-
-  if (!options_.verify) return solution;
 
   // Pass 2: verification. The grid top is certified from the coreset
   // alone: every location of every point sits within

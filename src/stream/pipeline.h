@@ -64,9 +64,6 @@ struct StreamingOptions {
   /// Grid resolution of the verification bracket; the bracket width is
   /// about grid_top / verify_buckets.
   size_t verify_buckets = 4096;
-  /// Skip the second pass entirely (verified_* stay NaN). For
-  /// one-shot producer streams that cannot be re-read.
-  bool verify = true;
 };
 
 /// Output of one streaming run.
@@ -97,7 +94,7 @@ struct StreamingSolution {
   double coreset_radius = 0.0;
 
   /// Rigorous bracket of the exact expected assigned cost of
-  /// center_coords on the full stream (NaN when verify = false).
+  /// center_coords on the full stream.
   double verified_lower = std::nan("");
   double verified_upper = std::nan("");
   /// max_i E[d(P̂_i, A(i))] — the exact max-of-expectations lower

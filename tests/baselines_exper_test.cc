@@ -69,11 +69,6 @@ TEST(BaselinesTest, Validation) {
   EXPECT_FALSE(baselines::RunBaseline(
                    nullptr, baselines::BaselineKind::kPooledLocations, {})
                    .ok());
-  options.k = 2;
-  options.truncation_delta = 1.5;
-  EXPECT_FALSE(baselines::RunBaseline(
-                   &dataset, baselines::BaselineKind::kTruncatedMedian, options)
-                   .ok());
 }
 
 TEST(BaselinesTest, PaperPipelineBeatsModalWhenModesCollapse) {

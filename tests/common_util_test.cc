@@ -121,7 +121,12 @@ TEST(TablePrinterTest, FormatsValues) {
 TEST(TablePrinterTest, AddRowValues) {
   TablePrinter table({"a", "b", "c"});
   table.AddRowValues("row", 7, 0.25);
-  EXPECT_EQ(table.num_rows(), 1u);
+  std::ostringstream os;
+  table.Print(os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("row"), std::string::npos);
+  EXPECT_NE(out.find(" 7"), std::string::npos);
+  EXPECT_NE(out.find("0.25"), std::string::npos);
 }
 
 TEST(TablePrinterDeathTest, WrongArityAborts) {

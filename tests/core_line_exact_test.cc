@@ -119,10 +119,19 @@ TEST(ExactTinyTest, RejectsBadInput) {
                                        *candidates)
                    .ok());
   EXPECT_FALSE(ExactUnrestrictedAssigned(&line.value(), 0, *candidates).ok());
-  ExactTinyOptions tight;
-  tight.max_center_subsets = 1;
-  EXPECT_FALSE(ExactUnrestrictedAssigned(&line.value(), 2, *candidates, tight)
-                   .ok());
+  // 25 points of 4 locations give 100 location sites plus the
+  // surrogates, so C(|candidates|, 4) >= C(100, 4) = 3'921'225 center
+  // subsets: refused before any enumeration.
+  auto large = Line(7, 25, 4);
+  ASSERT_TRUE(large.ok());
+  auto many = DefaultCandidateSites(&large.value());
+  ASSERT_TRUE(many.ok());
+  ASSERT_GE(many->size(), 100u);
+  const auto refused = ExactUnrestrictedAssigned(&large.value(), 4, *many);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("exceeds the cap 2000000"),
+            std::string::npos)
+      << refused.status();
 }
 
 TEST(ExactTinyTest, UnrestrictedNeverWorseThanRestricted) {

@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "geometry/point.h"
+#include "geometry/point_view.h"
 
 namespace ukc {
 namespace geometry {
@@ -58,6 +59,15 @@ TEST(DistanceTest, EuclideanBasics) {
   EXPECT_DOUBLE_EQ(Distance(a, b), 5.0);
   EXPECT_DOUBLE_EQ(SquaredDistance(a, b), 25.0);
   EXPECT_DOUBLE_EQ(Distance(a, a), 0.0);
+}
+
+// The L1 / L∞ kernels over two points' coordinates.
+double L1Distance(const Point& a, const Point& b) {
+  return L1DistanceKernel(a.coords().data(), b.coords().data(), a.dim());
+}
+
+double LInfDistance(const Point& a, const Point& b) {
+  return LInfDistanceKernel(a.coords().data(), b.coords().data(), a.dim());
 }
 
 TEST(DistanceTest, L1AndLInf) {

@@ -126,8 +126,11 @@ TEST(GridKCenterTest, CandidateCapFailsCleanly) {
   const auto points = RandomPoints(50, 3, 13);
   GridKCenterOptions options;
   options.eps = 0.05;
-  options.max_candidates = 100;
-  EXPECT_FALSE(GridKCenter(points, 2, options).ok());
+  const auto refused = GridKCenter(points, 2, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("more than 200000 candidates"),
+            std::string::npos)
+      << refused.status();
 }
 
 // End-to-end: the facade with the kGridEpsilon plug certifies the

@@ -246,7 +246,7 @@ TEST(TinyEnumerateTest, ShardedEnumerationMatchesSerialScan) {
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     auto solution =
-        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, &pool);
+        core::ExactUnassignedTiny(dataset, k, candidates, &pool);
     ASSERT_TRUE(solution.ok()) << solution.status();
     EXPECT_EQ(solution->centers, best_centers) << "threads=" << threads;
     EXPECT_EQ(solution->expected_cost, best_value) << "threads=" << threads;
@@ -279,7 +279,7 @@ TEST(TinyEnumerateTest, TiesResolveToLowestRankSubset) {
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     auto solution =
-        core::ExactUnassignedTiny(dataset, k, candidates, 2'000'000, &pool);
+        core::ExactUnassignedTiny(dataset, k, candidates, &pool);
     ASSERT_TRUE(solution.ok()) << solution.status();
     if (threads == 1) {
       reference_centers = solution->centers;

@@ -213,7 +213,7 @@ TEST(ConsumerDeterminismTest, ExactUnassignedTinyIsThreadCountInvariant) {
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     auto solution =
-        core::ExactUnassignedTiny(dataset, 3, candidates, 2'000'000, &pool);
+        core::ExactUnassignedTiny(dataset, 3, candidates, &pool);
     ASSERT_TRUE(solution.ok()) << solution.status();
     if (threads == 1) {
       reference_centers = solution->centers;

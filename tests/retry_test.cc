@@ -130,62 +130,6 @@ TEST(RetryTest, MaxAttemptsOneMeansNoRetry) {
   EXPECT_FALSE(status.ok());
 }
 
-TEST(RetryTest, CustomPredicateOverridesTheDefaultClassification) {
-  // retry_if replaces IsTransientError entirely: here it retries
-  // kInternal (default: permanent) and refuses kUnavailable (default:
-  // transient). The serve layer uses exactly this hook to exempt
-  // load-sheds from retry while still retrying other kUnavailable.
-  RetryOptions options;
-  options.max_attempts = 4;
-  options.sleeper = [](std::chrono::nanoseconds) {};
-  options.retry_if = [](const Status& status) {
-    return status.code() == StatusCode::kInternal;
-  };
-
-  int calls = 0;
-  RetryStats stats;
-  const Status cleared = RetryTransient(
-      options,
-      [&] { return ++calls < 3 ? Status::Internal("flaky") : Status::OK(); },
-      &stats);
-  EXPECT_TRUE(cleared.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.retries, 2u);
-
-  calls = 0;
-  const Status refused = RetryTransient(
-      options,
-      [&] {
-        ++calls;
-        return Status::Unavailable("would retry under the default");
-      },
-      &stats);
-  EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 1);  // The predicate declined: no second attempt.
-}
-
-TEST(RetryTest, PredicateNeverSeesAnOkStatus) {
-  RetryOptions options;
-  options.retry_if = [](const Status&) {
-    ADD_FAILURE() << "retry_if consulted for an OK status";
-    return true;
-  };
-  EXPECT_TRUE(RetryTransient(options, [] { return Status::OK(); }).ok());
-}
-
-TEST(RetryTest, NullPredicateKeepsTheTransientDefault) {
-  RetryOptions options;
-  options.max_attempts = 3;
-  options.sleeper = [](std::chrono::nanoseconds) {};
-  options.retry_if = nullptr;
-  int calls = 0;
-  const Status status = RetryTransient(options, [&] {
-    return ++calls == 1 ? Status::Unavailable("once") : Status::OK();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 2);
-}
-
 TEST(RetryTest, StatsAccumulateAcrossCalls) {
   RetryOptions options;
   options.max_attempts = 2;

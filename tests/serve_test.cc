@@ -449,21 +449,9 @@ TEST(ServeTest, FullQueueShedsNewestWithMarkedUnavailable) {
   const Status shed = registry.SubmitAppend("alpha", MakeBatch(rng, 2, 2));
   EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(serve::IsShed(shed));
-  EXPECT_TRUE(shed.IsTransientError());  // Transient-coded...
+  EXPECT_TRUE(shed.IsTransientError());  // Transient-coded, yet marked.
   EXPECT_EQ(registry.stats().appends_shed, 1u);
   EXPECT_EQ(registry.QueueDepth("alpha"), 2u);
-
-  // ...but the serve retry policy refuses to retry it: one attempt,
-  // zero retries (re-submitting into a full queue amplifies overload).
-  RetryOptions retry;
-  retry.max_attempts = 5;
-  retry.sleeper = [](std::chrono::nanoseconds) {};
-  RetryStats stats;
-  const Status retried = registry.SubmitAppendWithRetry(
-      "alpha", MakeBatch(rng, 2, 2), retry, &stats);
-  EXPECT_TRUE(serve::IsShed(retried));
-  EXPECT_EQ(stats.attempts, 1u);
-  EXPECT_EQ(stats.retries, 0u);
 
   // Drain relieves the pressure; the queue admits again.
   registry.Drain();
@@ -478,10 +466,10 @@ TEST(ServeTest, IsShedRequiresBothCodeAndMarker) {
   EXPECT_TRUE(serve::IsShed(serve::ShedStatus("queue full")));
 }
 
-TEST(ServeTest, TransientEnqueueFaultRetriesButShedDoesNot) {
-  // The regression the retry_if satellite exists for: an injected
-  // transient enqueue fault IS retried (and clears), while a shed —
-  // the same kUnavailable code — is not.
+TEST(ServeTest, TransientEnqueueFaultIsNotAShed) {
+  // An injected enqueue fault carries the same kUnavailable code as a
+  // shed but not its marker, so a client may resubmit it; the next
+  // submission lands.
   TenantRegistry registry(RegistryOptions{});
   ASSERT_TRUE(registry.CreateTenant("alpha", BasicConfig()).ok());
   Rng rng(13);
@@ -490,16 +478,10 @@ TEST(ServeTest, TransientEnqueueFaultRetriesButShedDoesNot) {
       FaultRule{"serve.enqueue", {0}, 0.0, StatusCode::kUnavailable, 0});
   ScopedFaultInjection scope(plan);
 
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.sleeper = [](std::chrono::nanoseconds) {};
-  RetryStats stats;
-  ASSERT_TRUE(registry
-                  .SubmitAppendWithRetry("alpha", MakeBatch(rng, 2, 2), retry,
-                                         &stats)
-                  .ok());
-  EXPECT_EQ(stats.attempts, 2u);  // Fault at hit 0, clean at hit 1.
-  EXPECT_EQ(stats.retries, 1u);
+  const Status faulted = registry.SubmitAppend("alpha", MakeBatch(rng, 2, 2));
+  EXPECT_TRUE(faulted.IsTransientError());
+  EXPECT_FALSE(serve::IsShed(faulted));
+  EXPECT_TRUE(registry.SubmitAppend("alpha", MakeBatch(rng, 2, 2)).ok());
   EXPECT_EQ(registry.stats().enqueue_faults, 1u);
   EXPECT_EQ(registry.QueueDepth("alpha"), 1u);
 }

@@ -103,8 +103,12 @@ TEST(DistanceKernelParityTest, PointFreeFunctionsMatchKernels) {
       const Point& b = points[i + 1];
       EXPECT_EQ(geometry::SquaredDistance(a, b), NaiveSquaredDistance(a, b));
       EXPECT_EQ(geometry::Distance(a, b), std::sqrt(NaiveSquaredDistance(a, b)));
-      EXPECT_EQ(geometry::L1Distance(a, b), NaiveL1(a, b));
-      EXPECT_EQ(geometry::LInfDistance(a, b), NaiveLInf(a, b));
+      EXPECT_EQ(geometry::L1DistanceKernel(a.coords().data(), b.coords().data(),
+                                           dim),
+                NaiveL1(a, b));
+      EXPECT_EQ(geometry::LInfDistanceKernel(a.coords().data(),
+                                             b.coords().data(), dim),
+                NaiveLInf(a, b));
     }
   }
 }

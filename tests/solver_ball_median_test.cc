@@ -185,10 +185,13 @@ TEST(PartitionCountTest, KnownValues) {
 TEST(PartitionExactTest, RejectsBadInput) {
   EXPECT_FALSE(ExactPartitionKCenter({}, 1).ok());
   EXPECT_FALSE(ExactPartitionKCenter({Point{0.0}}, 0).ok());
-  PartitionExactOptions tight;
-  tight.max_partitions = 1;
-  EXPECT_FALSE(
-      ExactPartitionKCenter(RandomPoints(10, 2, 1), 3, tight).ok());
+  // 15 points into at most 4 blocks: 1 + 16'383 + 2'375'101 + 42'355'950
+  // = 44'747'435 partitions, refused before any enumeration.
+  const auto refused = ExactPartitionKCenter(RandomPoints(15, 2, 1), 4);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("exceeds the limit 20000000"),
+            std::string::npos)
+      << refused.status();
 }
 
 TEST(PartitionExactTest, SingleClusterEqualsWelzl) {

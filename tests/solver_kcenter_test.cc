@@ -49,9 +49,6 @@ TEST(GonzalezTest, RejectsBadInput) {
   EuclideanSpace space = RandomSpace(5, 2, 1);
   EXPECT_FALSE(Gonzalez(space, AllSites(space), 0).ok());
   EXPECT_FALSE(Gonzalez(space, {}, 2).ok());
-  GonzalezOptions options;
-  options.first_index = 99;
-  EXPECT_FALSE(Gonzalez(space, AllSites(space), 2, options).ok());
 }
 
 TEST(GonzalezTest, SingleCenterPicksFirstAndComputesRadius) {
@@ -169,9 +166,14 @@ TEST(ExactDiscreteTest, RejectsBadInput) {
   const auto sites = AllSites(space);
   EXPECT_FALSE(ExactDiscreteKCenter(space, sites, sites, 0).ok());
   EXPECT_FALSE(ExactDiscreteKCenter(space, {}, sites, 1).ok());
-  BruteForceOptions tight;
-  tight.max_subsets = 1;
-  EXPECT_FALSE(ExactDiscreteKCenter(space, sites, sites, 2, tight).ok());
+  // C(60, 6) = 50'063'860 subsets: refused before any enumeration.
+  EuclideanSpace large = RandomSpace(60, 2, 6);
+  const auto many = AllSites(large);
+  const auto refused = ExactDiscreteKCenter(large, many, many, 6);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("exceeds the limit 20000000"),
+            std::string::npos)
+      << refused.status();
 }
 
 TEST(ExactDiscreteTest, KnownTwoClusterInstance) {

@@ -680,24 +680,20 @@ TEST(StreamingPipelineTest, CheckpointedSolveFileMatchesPlain) {
   EXPECT_GT(got->ingest_stats.checkpoint_saves, 0u);
 }
 
-// Read accounting of the pipeline: with verification off the stream is
-// opened exactly once; with it on, exactly twice. (SolveFile opens the
-// file once more, up front, to read the dimension from its header.)
+// Read accounting of the pipeline: the stream is opened exactly twice,
+// once for ingest and once for verification. (SolveFile opens the file
+// once more, up front, to read the dimension from its header.)
 TEST(StreamingPipelineTest, SolveOpensTheStreamOncePerPass) {
   auto dataset = MakeDataset(200, 43);
-  for (bool verify : {false, true}) {
-    stream::StreamingOptions options = PipelineOptions(nullptr, 64, 1);
-    options.verify = verify;
-    stream::StreamingUncertainKCenter solver(options);
-    size_t factory_calls = 0;
-    auto factory = [&]() -> Result<stream::BatchSource> {
-      ++factory_calls;
-      return stream::MakeDatasetBatchSource(&dataset, 64);
-    };
-    auto solution = solver.SolveSource(2, factory);
-    ASSERT_TRUE(solution.ok()) << solution.status();
-    EXPECT_EQ(factory_calls, verify ? 2u : 1u);
-  }
+  stream::StreamingUncertainKCenter solver(PipelineOptions(nullptr, 64, 1));
+  size_t factory_calls = 0;
+  auto factory = [&]() -> Result<stream::BatchSource> {
+    ++factory_calls;
+    return stream::MakeDatasetBatchSource(&dataset, 64);
+  };
+  auto solution = solver.SolveSource(2, factory);
+  ASSERT_TRUE(solution.ok()) << solution.status();
+  EXPECT_EQ(factory_calls, 2u);
 }
 
 TEST(StreamingPipelineTest, ProducerSourceMatchesDataset) {

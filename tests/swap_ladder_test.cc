@@ -1,19 +1,20 @@
-// Parity suite for the swap-table machinery around the one exact
-// sort-sweep. Everything here is EXPECT_EQ on doubles — no tolerance
-// anywhere:
-//  * the compacted ladder (rung 0 + deepest rung resident, the
-//    intermediate rungs re-derived on escalation by replaying
-//    events[deepest.index, rung.index)) must be bitwise identical to
-//    the full 7-rung reference, including on swap matrices whose
-//    candidates force escalations;
+// Suite for the swap-table machinery around the one exact sort-sweep.
+// Its oracle is a fresh linear-path UnassignedCost of the swapped
+// center set:
+//  * every swap score — including those of candidates that force
+//    ladder escalations, where an intermediate rung's CDF is re-derived
+//    from the deepest rung by replaying events[deepest.index,
+//    rung.index) — matches the oracle to 1e-12 relative, and is bitwise
+//    identical at every thread count;
+//  * only rung 0's and the deepest rung's CDFs stay resident;
 //  * a second swap round on a large dataset, through an evaluator that
-//    already scored the first, shards over the per-worker evaluators
-//    and must match a fresh evaluator's build (the oracle) at every
-//    thread count.
+//    already scored the first, matches a fresh evaluator's build
+//    bitwise at every thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -97,18 +98,52 @@ uint64_t EscalationCount() {
       "ukc_ladder_escalations_total");
 }
 
-cost::ParallelCandidateEvaluator::Options LadderOptions(int threads,
-                                                        bool compact) {
+// The process-wide count of base events replayed to re-derive an
+// intermediate rung's CDF.
+uint64_t ReplayedEventCount() {
+  return obs::MetricsRegistry::Default().Snapshot().CounterTotal(
+      "ukc_ladder_replayed_events_total");
+}
+
+cost::ParallelCandidateEvaluator::Options LadderOptions(int threads) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.evaluator.compact_swap_ladder = compact;
   return options;
 }
 
-// Compacted vs full-resident ladder over a swap matrix whose
-// bottleneck-covering candidates force escalations: every value must
-// match bit for bit, at every thread count, and the compact run must
-// actually have exercised the replay path.
+// The oracle: a fresh linear-path evaluation of `centers` with position
+// p replaced by `candidate`.
+double OracleSwapCost(const uncertain::UncertainDataset& dataset,
+                      std::vector<SiteId> centers, size_t p,
+                      SiteId candidate) {
+  centers[p] = candidate;
+  cost::ExpectedCostEvaluator::Options options;
+  options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator evaluator(options);
+  return std::move(evaluator.UnassignedCost(dataset, centers)).value();
+}
+
+// Every entry of a swap matrix (values[p * pool.size() + c]) against
+// the oracle. The presorted path applies tied and below-threshold
+// events in a different order than a full sweep, so the two agree to
+// rounding, not bitwise.
+void ExpectMatrixMatchesOracle(const uncertain::UncertainDataset& dataset,
+                               const std::vector<SiteId>& centers,
+                               const std::vector<SiteId>& pool,
+                               const std::vector<double>& values) {
+  ASSERT_EQ(values.size(), centers.size() * pool.size());
+  for (size_t p = 0; p < centers.size(); ++p) {
+    for (size_t c = 0; c < pool.size(); ++c) {
+      const double want = OracleSwapCost(dataset, centers, p, pool[c]);
+      EXPECT_NEAR(values[p * pool.size() + c], want, 1e-12 * std::abs(want))
+          << "position " << p << " candidate " << c;
+    }
+  }
+}
+
+// A swap matrix whose bottleneck-covering candidates force escalations
+// (and re-derived intermediate rungs): every value matches the oracle
+// and is bitwise identical at every thread count.
 TEST(SwapLadderTest, LadderCompactionEscalationParity) {
   const auto dataset = MakeBottleneckDataset(260, 24, 3, 909);
   const auto centers = SomeCenters(dataset, 3);
@@ -122,26 +157,30 @@ TEST(SwapLadderTest, LadderCompactionEscalationParity) {
     pool.push_back(sites[(i * 173) % sites.size()]);
   }
 
-  cost::ParallelCandidateEvaluator reference(
-      LadderOptions(/*threads=*/1, /*compact=*/false));
-  const auto want = *reference.SwapCostMatrix(dataset, centers, pool);
+  std::vector<double> first;
   for (int threads : kThreadCounts) {
     const uint64_t escalations_before = EscalationCount();
-    cost::ParallelCandidateEvaluator compact(LadderOptions(threads, true));
-    const auto got = *compact.SwapCostMatrix(dataset, centers, pool);
-    ASSERT_EQ(want.size(), got.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i], got[i]) << "task " << i << " threads=" << threads;
+    const uint64_t replayed_before = ReplayedEventCount();
+    cost::ParallelCandidateEvaluator parallel(LadderOptions(threads));
+    const auto got = *parallel.SwapCostMatrix(dataset, centers, pool);
+    EXPECT_GT(EscalationCount(), escalations_before) << "threads=" << threads;
+    EXPECT_GT(ReplayedEventCount(), replayed_before) << "threads=" << threads;
+    if (first.empty()) {
+      ExpectMatrixMatchesOracle(dataset, centers, pool, got);
+      first = got;
+      continue;
     }
-    EXPECT_GT(EscalationCount(), escalations_before)
-        << "threads=" << threads;
+    ASSERT_EQ(first.size(), got.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i], got[i]) << "task " << i << " threads=" << threads;
+    }
   }
 }
 
-// A multi-round trajectory (round r's accepted argmin feeds round r+1)
-// through the compacted ladder must track the full-ladder reference
-// bitwise — a single diverging replay would compound into different
-// center sets.
+// A multi-round trajectory (round r's accepted argmin feeds round r+1):
+// every round's scores match the oracle, and the whole trajectory is
+// bitwise identical at every thread count — a single diverging replay
+// would compound into different center sets.
 TEST(SwapLadderTest, LadderCompactionTrajectoryParity) {
   constexpr size_t kRounds = 3;
   const auto dataset = MakeBottleneckDataset(200, 16, 2, 414);
@@ -151,12 +190,15 @@ TEST(SwapLadderTest, LadderCompactionTrajectoryParity) {
   pool.push_back(dataset.euclidean()->AddCoords(far_coords));
   for (size_t i = 0; i < 8; ++i) pool.push_back(sites[(i * 211) % sites.size()]);
 
-  const auto run = [&](bool compact) {
-    cost::ParallelCandidateEvaluator evaluator(LadderOptions(1, compact));
+  const auto run = [&](int threads, bool check_oracle) {
+    cost::ParallelCandidateEvaluator evaluator(LadderOptions(threads));
     auto centers = SomeCenters(dataset, 3);
     std::vector<std::vector<double>> rounds;
     for (size_t round = 0; round < kRounds; ++round) {
       auto values = *evaluator.SwapCostMatrix(dataset, centers, pool);
+      if (check_oracle) {
+        ExpectMatrixMatchesOracle(dataset, centers, pool, values);
+      }
       rounds.push_back(values);
       double best = std::numeric_limits<double>::infinity();
       size_t best_position = 0;
@@ -178,37 +220,55 @@ TEST(SwapLadderTest, LadderCompactionTrajectoryParity) {
     }
     return rounds;
   };
-  const auto reference = run(/*compact=*/false);
-  const auto compact = run(/*compact=*/true);
-  ASSERT_EQ(reference.size(), compact.size());
-  for (size_t r = 0; r < reference.size(); ++r) {
-    ASSERT_EQ(reference[r].size(), compact[r].size()) << "round " << r;
-    for (size_t i = 0; i < reference[r].size(); ++i) {
-      EXPECT_EQ(reference[r][i], compact[r][i])
-          << "round " << r << " task " << i;
+  const uint64_t escalations_before = EscalationCount();
+  const auto reference = run(kThreadCounts[0], /*check_oracle=*/true);
+  EXPECT_GT(EscalationCount(), escalations_before);
+  ASSERT_EQ(reference.size(), kRounds);
+  for (int threads : kThreadCounts) {
+    const auto got = run(threads, /*check_oracle=*/false);
+    ASSERT_EQ(reference.size(), got.size()) << "threads=" << threads;
+    for (size_t r = 0; r < reference.size(); ++r) {
+      ASSERT_EQ(reference[r].size(), got[r].size()) << "round " << r;
+      for (size_t i = 0; i < reference[r].size(); ++i) {
+        EXPECT_EQ(reference[r][i], got[r][i])
+            << "round " << r << " task " << i << " threads=" << threads;
+      }
     }
   }
 }
 
-// The acceptance criterion in numbers: at a clustered instance the
-// compacted ladder's resident bytes drop at least 3x versus the
-// 7-rung reference.
-TEST(SwapLadderTest, LadderMemoryDropsAtLeast3x) {
+// The ladder keeps 2n resident CDF doubles per table, not
+// kSwapLadderRungs·n: rung 0 and the deepest rung hold a CDF of every
+// point, and every intermediate rung holds none (no capacity either).
+TEST(SwapLadderTest, OnlyRungZeroAndDeepestRungCdfsAreResident) {
   const auto dataset = MakeDataset(2000, 2, 4, 31);
   const auto centers = SomeCenters(dataset, 8);
-  const auto sites = dataset.LocationSites();
-  std::vector<SiteId> pool;
-  for (size_t i = 0; i < 8; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
+  const size_t total = dataset.total_locations();
+  const SiteId* sites = dataset.flat_sites().data();
+  const size_t* offsets = dataset.offsets().data();
+  std::vector<double> base(total, std::numeric_limits<double>::infinity());
+  std::vector<uint32_t> point_of(total);
+  for (size_t i = 0; i < dataset.n(); ++i) {
+    for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
+      point_of[l] = static_cast<uint32_t>(i);
+      for (SiteId center : centers) {
+        base[l] = std::min(base[l], dataset.space().Distance(sites[l], center));
+      }
+    }
+  }
 
-  cost::ParallelCandidateEvaluator full(LadderOptions(1, /*compact=*/false));
-  ASSERT_TRUE(full.SwapCostMatrix(dataset, centers, pool).ok());
-  cost::ParallelCandidateEvaluator compact(LadderOptions(1, /*compact=*/true));
-  ASSERT_TRUE(compact.SwapCostMatrix(dataset, centers, pool).ok());
-
-  const size_t full_bytes = full.SwapLadderBytes();
-  const size_t compact_bytes = compact.SwapLadderBytes();
-  EXPECT_GE(full_bytes, 3 * compact_bytes)
-      << "full=" << full_bytes << " compact=" << compact_bytes;
+  cost::ExpectedCostEvaluator evaluator;
+  cost::ExpectedCostEvaluator::SwapBase tables;
+  ASSERT_TRUE(evaluator.BuildSwapBase(dataset, base, point_of, &tables).ok());
+  constexpr size_t kDeepest = cost::ExpectedCostEvaluator::kSwapLadderRungs - 1;
+  for (size_t rung = 0; rung <= kDeepest; ++rung) {
+    const std::vector<double>& cdf = tables.levels[rung].cdf;
+    if (rung == 0 || rung == kDeepest) {
+      EXPECT_EQ(cdf.size(), dataset.n()) << "rung " << rung;
+    } else {
+      EXPECT_EQ(cdf.capacity(), 0u) << "rung " << rung;
+    }
+  }
 }
 
 // The round after a one-center swap at k = 2, on a dataset above 32768
@@ -230,11 +290,11 @@ TEST(SwapLadderTest, ReusedRoundMatchesFreshBuild) {
   ASSERT_FALSE(pool.empty());
   std::vector<SiteId> swapped = pair;
   swapped[0] = pool[0];
-  cost::ParallelCandidateEvaluator fresh(LadderOptions(1, true));
+  cost::ParallelCandidateEvaluator fresh(LadderOptions(1));
   const auto want_round = *fresh.SwapCostMatrix(dataset, swapped, pool);
 
   for (int threads : kThreadCounts) {
-    cost::ParallelCandidateEvaluator parallel(LadderOptions(threads, true));
+    cost::ParallelCandidateEvaluator parallel(LadderOptions(threads));
     ASSERT_TRUE(parallel.SwapCostMatrix(dataset, pair, pool).ok());
     const auto got_round = *parallel.SwapCostMatrix(dataset, swapped, pool);
     ASSERT_EQ(want_round.size(), got_round.size());

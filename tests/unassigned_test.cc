@@ -32,7 +32,25 @@ TEST(ExactUnassignedTinyTest, Validation) {
   const auto sites = dataset.LocationSites();
   EXPECT_FALSE(ExactUnassignedTiny(dataset, 0, sites).ok());
   EXPECT_FALSE(ExactUnassignedTiny(dataset, sites.size() + 1, sites).ok());
-  EXPECT_FALSE(ExactUnassignedTiny(dataset, 3, sites, /*max_subsets=*/1).ok());
+}
+
+TEST(ExactUnassignedTinyTest, RefusesMoreSubsetsThanTheCap) {
+  // 25 points of 4 locations: C(100, 4) = 3'921'225 subsets, refused
+  // before any enumeration.
+  exper::InstanceSpec spec;
+  spec.family = exper::Family::kClustered;
+  spec.n = 25;
+  spec.z = 4;
+  spec.k = 4;
+  spec.seed = 3;
+  UncertainDataset dataset = std::move(exper::MakeInstance(spec)).value();
+  const auto sites = dataset.LocationSites();
+  ASSERT_EQ(sites.size(), 100u);
+  const auto refused = ExactUnassignedTiny(dataset, 4, sites);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("exceeds the cap 2000000"),
+            std::string::npos)
+      << refused.status();
 }
 
 TEST(ExactUnassignedTinyTest, FindsTheSubsetOptimum) {
