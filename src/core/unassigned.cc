@@ -122,11 +122,17 @@ Result<UnassignedSolution> LocalSearchUnassigned(
 
   UnassignedSolution solution;
   solution.centers = seed.centers;
-  // Every round scores all |centers| * |pool| one-center swaps through
+  // Every round scores the |centers| * |pool| one-center swaps through
   // the swap-structure batch: O(N) per swap instead of O(N k), sharded
   // over the worker pool. The kd path is disabled for the scalar
   // evaluations too, so the running cost and the swap values come from
-  // identical (linear-path) arithmetic.
+  // identical (linear-path) arithmetic. Each round hands the batch the
+  // running cost as its incumbent: a swap whose certified lower bound
+  // (max_i E[d(P̂_i, C')] ≤ E[max_i d(P̂_i, C')], with its rounding)
+  // proves it cannot pass the acceptance test below comes back +inf
+  // without being scored, and every other value is bitwise the full
+  // matrix's, so the trajectory is the full matrix's too
+  // (cost/parallel_evaluator.cc, ScreenThreshold).
   cost::ParallelCandidateEvaluator::Options parallel_options;
   parallel_options.threads = 1;  // A null pool runs inline.
   parallel_options.pool = options.pool;
@@ -150,7 +156,8 @@ Result<UnassignedSolution> LocalSearchUnassigned(
         options.deadline.Check("LocalSearchUnassigned[round]"));
     UKC_ASSIGN_OR_RETURN(
         std::vector<double> values,
-        parallel.SwapCostMatrix(*dataset, solution.centers, pool));
+        parallel.SwapCostMatrix(*dataset, solution.centers, pool,
+                                solution.expected_cost));
     // Deterministic argmin in (position, candidate) order — the same
     // order the serial nested loops scanned.
     double best_value = solution.expected_cost;
@@ -169,7 +176,8 @@ Result<UnassignedSolution> LocalSearchUnassigned(
     }
     if (best_replacement == metric::kInvalidSite ||
         solution.expected_cost - best_value <
-            1e-12 * std::max(1.0, solution.expected_cost)) {
+            cost::kMinRelativeSwapGain *
+                std::max(1.0, solution.expected_cost)) {
       break;
     }
     solution.centers[best_position] = best_replacement;

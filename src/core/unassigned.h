@@ -16,7 +16,9 @@
 // within a constant of OPT_unrestricted. This module provides:
 //
 //  * ExactUnassignedTiny — exhaustive center enumeration (the true
-//    optimum over a candidate set; exact in finite metrics).
+//    optimum over a candidate set; exact in finite metrics). No
+//    workload or example calls it: it is kept as the exact oracle the
+//    local-search tests compare against.
 //  * LocalSearchUnassigned — pipeline seeding plus swap local search
 //    evaluating the exact unassigned objective; never worse than the
 //    seed, typically much better on spread instances.
@@ -53,6 +55,9 @@ struct UnassignedSolution {
 /// returned cost are bitwise independent of the borrowed `pool` and
 /// identical to a serial scan. A null `pool` runs the enumeration
 /// inline on the calling thread. Refuses more than 2'000'000 subsets.
+/// The exact oracle of the local-search tests (unassigned_test,
+/// incremental_sweep_test, parallel_eval_test); nothing outside the
+/// tests calls it.
 Result<UnassignedSolution> ExactUnassignedTiny(
     const uncertain::UncertainDataset& dataset, size_t k,
     const std::vector<metric::SiteId>& candidates, ThreadPool* pool = nullptr);

@@ -619,55 +619,94 @@ double ExpectedCostEvaluator::MergeSweepFrom(
 
 namespace {
 
-// The one improved-location scan shared by every collection pass:
-// calls consider(d, l) for each flat location l with d(l, extra) <
-// base_distances[l], restricted to base_distances[l] >= gate (pass
-// -infinity for an ungated scan). L2 compares *squared* distances — the
-// sqrt is monotone, so d² < b² decides d < b, and only the winners pay
-// a sqrt (a rounding tie after sqrt just moves the event between the
-// base and changed streams; the applied (value, point, probability)
-// multiset is the same). The gate runs before the kernel, so on gated
-// passes most locations skip the distance entirely.
-template <typename Consider>
-void ScanImproved(const uncertain::UncertainDataset& dataset,
-                  std::span<const double> base_distances, metric::SiteId extra,
-                  double gate, Consider&& consider) {
-  const size_t total = dataset.total_locations();
+// The one swapped-distance rule, shared by every collection pass and
+// the certified screen: calls body(improves) once, where improves(l, b,
+// &d) reports whether flat location l's distance d to `extra` is below
+// its base distance b (and sets d when it is). L2 compares *squared*
+// distances — the sqrt is monotone, so d² < b² decides d < b, and only
+// the winners pay a sqrt (a rounding tie after sqrt just moves the
+// event between the base and changed streams; the applied (value,
+// point, probability) multiset is the same). The metric branch is
+// chosen once per call, outside the caller's loop.
+template <typename Body>
+void WithImprovementTest(const uncertain::UncertainDataset& dataset,
+                         metric::SiteId extra, Body&& body) {
   const metric::SiteId* sites = dataset.flat_sites().data();
   const metric::EuclideanSpace* euclidean = dataset.euclidean();
   if (euclidean != nullptr && euclidean->norm() == metric::Norm::kL2) {
     const size_t dim = euclidean->dim();
     const double* target = euclidean->coords(extra);
-    for (size_t l = 0; l < total; ++l) {
-      const double b = base_distances[l];
-      if (b < gate) continue;
-      const double dsq =
-          geometry::SquaredDistanceKernel(euclidean->coords(sites[l]), target, dim);
-      if (dsq < b * b) consider(std::sqrt(dsq), l);
-    }
+    body([=](size_t l, double b, double* d) {
+      const double dsq = geometry::SquaredDistanceKernel(
+          euclidean->coords(sites[l]), target, dim);
+      if (!(dsq < b * b)) return false;
+      *d = std::sqrt(dsq);
+      return true;
+    });
   } else if (euclidean != nullptr) {
     const size_t dim = euclidean->dim();
     const metric::Norm norm = euclidean->norm();
     const double* target = euclidean->coords(extra);
-    for (size_t l = 0; l < total; ++l) {
-      const double b = base_distances[l];
-      if (b < gate) continue;
-      const double d = metric::NormDistanceKernel(
-          norm, euclidean->coords(sites[l]), target, dim);
-      if (d < b) consider(d, l);
-    }
+    body([=](size_t l, double b, double* d) {
+      *d = metric::NormDistanceKernel(norm, euclidean->coords(sites[l]),
+                                      target, dim);
+      return *d < b;
+    });
   } else {
-    const metric::MetricSpace& space = dataset.space();
-    for (size_t l = 0; l < total; ++l) {
-      const double b = base_distances[l];
-      if (b < gate) continue;
-      const double d = space.Distance(sites[l], extra);
-      if (d < b) consider(d, l);
-    }
+    const metric::MetricSpace* space = &dataset.space();
+    body([=](size_t l, double b, double* d) {
+      *d = space->Distance(sites[l], extra);
+      return *d < b;
+    });
   }
 }
 
+// The one improved-location scan shared by every collection pass:
+// calls consider(d, l) for each flat location l with d(l, extra) <
+// base_distances[l], restricted to base_distances[l] >= gate (pass
+// -infinity for an ungated scan). The gate runs before the kernel, so
+// on gated passes most locations skip the distance entirely.
+template <typename Consider>
+void ScanImproved(const uncertain::UncertainDataset& dataset,
+                  std::span<const double> base_distances, metric::SiteId extra,
+                  double gate, Consider&& consider) {
+  const size_t total = dataset.total_locations();
+  WithImprovementTest(dataset, extra, [&](auto improves) {
+    for (size_t l = 0; l < total; ++l) {
+      const double b = base_distances[l];
+      if (b < gate) continue;
+      double d;
+      if (improves(l, b, &d)) consider(d, l);
+    }
+  });
+}
+
 }  // namespace
+
+bool AnyWitnessReaches(const uncertain::UncertainDataset& dataset,
+                       std::span<const double> base_distances,
+                       std::span<const SwapWitness> witnesses,
+                       metric::SiteId extra, double threshold) {
+  const double* probabilities = dataset.flat_probabilities().data();
+  const size_t* offsets = dataset.offsets().data();
+  bool reached = false;
+  WithImprovementTest(dataset, extra, [&](auto improves) {
+    for (const SwapWitness& witness : witnesses) {
+      double sum = 0.0;
+      for (size_t l = offsets[witness.point]; l < offsets[witness.point + 1];
+           ++l) {
+        const double b = base_distances[l];
+        double d;
+        sum += probabilities[l] * (improves(l, b, &d) ? d : b);
+      }
+      if (sum >= threshold) {
+        reached = true;
+        return;
+      }
+    }
+  });
+  return reached;
+}
 
 Result<double> ExpectedCostEvaluator::UnassignedCostSwapPresorted(
     const uncertain::UncertainDataset& dataset,

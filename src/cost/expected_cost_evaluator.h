@@ -399,6 +399,25 @@ class ExpectedCostEvaluator {
   std::vector<double> distance_table_;
 };
 
+/// A point the certified swap screen (cost/parallel_evaluator.h) may
+/// prove a swap with: `base_sum` is its expected distance to the "all
+/// centers but p" base set, Σ_l prob_l·base_l in location order.
+struct SwapWitness {
+  double base_sum;
+  uint32_t point;
+};
+
+/// True when some witness point i has Σ_{l ∈ i} prob_l·x_l >= threshold,
+/// summed in location order, where x_l = min(base_distances[l],
+/// d(l, extra)) is taken with UnassignedCostSwapPresorted's own
+/// comparison — so every x_l is bitwise the event value that call's
+/// sweep applies. Walks `witnesses` in order and stops at the first one
+/// that reaches; the answer does not depend on the order.
+bool AnyWitnessReaches(const uncertain::UncertainDataset& dataset,
+                       std::span<const double> base_distances,
+                       std::span<const SwapWitness> witnesses,
+                       metric::SiteId extra, double threshold);
+
 }  // namespace cost
 }  // namespace ukc
 

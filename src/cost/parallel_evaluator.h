@@ -34,15 +34,38 @@
 // bitwise equal across thread counts and within rounding of a fresh
 // linear-path UnassignedCost over multi-round trajectories.
 //
+// Certified screening. Given the incumbent cost a swap must beat, most
+// swaps of a round are provably useless: max_i E[d(P̂_i, C′)] ≤
+// E[max_i d(P̂_i, C′)], so one point whose expected swapped distance
+// reaches the incumbent rules the swap out. Each position's build task
+// therefore also collects its witnesses — the points whose expected
+// distance to the "all centers but p" base reaches the screen
+// threshold, sorted by descending sum (a swap only lowers distances, so
+// no other point can reach it) — and a candidate first walks them,
+// O(z) kernels per witness, stopping at the first that reaches. A
+// proved swap comes back +inf and skips the scan, the ladder and the
+// tail merge; every other entry is bitwise the unscreened value. The
+// threshold is the incumbent raised by derived rounding terms (the
+// bound sum's, the sweep's, the acceptance test's; cc file,
+// ScreenThreshold), so +inf only ever replaces a value that
+// core::LocalSearchUnassigned's acceptance margin would refuse, and its
+// trajectory is bitwise the full matrix's. The skip set depends on
+// (position, candidate, incumbent) only, never on the round's best so
+// far, so it is pool-size invariant; the skips are counted in
+// ukc_swap_screened_total. tests/swap_state_test.cc (SwapScreenTest)
+// holds the parity.
+//
 // Memory: the k base rows and the k event streams are the O(k·N)
 // state (SwapStateBytes); d1 / d2 / owner and the location → point map
-// add O(N).
+// add O(N), and the witnesses one flat buffer of 16 bytes per witness
+// (at most n per position).
 
 #ifndef UKC_COST_PARALLEL_EVALUATOR_H_
 #define UKC_COST_PARALLEL_EVALUATOR_H_
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +75,11 @@
 
 namespace ukc {
 namespace cost {
+
+/// The smallest relative gain core::LocalSearchUnassigned accepts: a
+/// swap must lower the cost by at least kMinRelativeSwapGain·max(1,
+/// cost). SwapCostMatrix's screen is certified against this margin.
+inline constexpr double kMinRelativeSwapGain = 1e-12;
 
 /// Scores local-search swaps (and caller-defined tasks) in parallel with
 /// deterministic (thread-count independent) results. See file comment.
@@ -75,7 +103,7 @@ class ParallelCandidateEvaluator {
   ParallelCandidateEvaluator();
   explicit ParallelCandidateEvaluator(Options options);
 
-  /// Exact unassigned cost of every one-center swap of `centers`:
+  /// Unassigned cost of every one-center swap of `centers`:
   /// values[p * pool.size() + c] is the cost of centers with
   /// centers[p] replaced by pool[c]. Per position the base distances
   /// ("all centers but p") are built and presorted once; each candidate
@@ -84,13 +112,24 @@ class ParallelCandidateEvaluator {
   /// fresh O(N log N) evaluation. Values agree with a full linear-path
   /// evaluation of the swapped set to rounding (identical value order;
   /// tied events may apply in a different order) and are bitwise
-  /// identical across thread counts. Resident state is k base rows and
-  /// k sorted event streams of total_locations entries each, plus
-  /// O(total_locations) (SwapStateBytes).
+  /// identical across thread counts.
+  ///
+  /// A finite `incumbent` (the cost a swap has to beat) turns on the
+  /// certified screen: an entry is +inf when a lower bound proves the
+  /// swap's computed value at least incumbent − ½·kMinRelativeSwapGain·
+  /// max(1, incumbent), so an acceptance test with that margin can never
+  /// take it; every other entry is bitwise the unscreened value. Which
+  /// entries are +inf is a pure function of (position, candidate,
+  /// incumbent), so the matrix stays bitwise pool-size invariant. The
+  /// default +inf incumbent screens nothing: the full matrix. Resident
+  /// state is k base rows and k sorted event streams of total_locations
+  /// entries each, plus O(total_locations) and the witnesses
+  /// (SwapStateBytes).
   Result<std::vector<double>> SwapCostMatrix(
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,
-      const std::vector<metric::SiteId>& pool);
+      const std::vector<metric::SiteId>& pool,
+      double incumbent = std::numeric_limits<double>::infinity());
 
   /// Resident bytes of the cached swap-base tables: the event streams,
   /// the resident rung CDFs and the escalation side tables. How often
@@ -98,8 +137,8 @@ class ParallelCandidateEvaluator {
   /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
   size_t SwapBaseMemoryBytes() const;
   /// Everything SwapCostMatrix keeps between calls: the base rows,
-  /// d1 / d2 / owner, the location → point map and SwapBaseMemoryBytes
-  /// (capacities, in bytes).
+  /// d1 / d2 / owner, the location → point map, the screen's witness
+  /// store and SwapBaseMemoryBytes (capacities, in bytes).
   size_t SwapStateBytes() const;
 
   /// Generic sharding hook: runs fn(evaluator, task) for every task in
@@ -111,6 +150,9 @@ class ParallelCandidateEvaluator {
   /// index, reduce afterwards in fixed order) — this is how
   /// core::ExactUnassignedTiny shards subset enumeration itself via
   /// ranked unranking instead of feeding a serially enumerated batch.
+  /// That enumeration is its only user and has no caller outside the
+  /// tests: the two are kept as the exact oracle of the local-search
+  /// tests (unassigned_test, incremental_sweep_test, parallel_eval_test).
   Status ForEachTask(size_t count,
                      const std::function<Status(ExpectedCostEvaluator&, size_t)>& fn);
 
@@ -142,6 +184,11 @@ class ParallelCandidateEvaluator {
   std::vector<double> base_without_;      // k rows of total_locations.
   std::vector<ExpectedCostEvaluator::SwapBase> swap_bases_;
   std::vector<uint32_t> point_of_;        // Location → owning point.
+  // The screen's witnesses, all positions in one buffer: position p's
+  // are [witness_begin_[p], witness_begin_[p + 1]) (k + 1 entries; all
+  // zero without an incumbent).
+  std::vector<SwapWitness> witnesses_;
+  std::vector<size_t> witness_begin_;
 };
 
 }  // namespace cost

@@ -5,7 +5,9 @@ Parses every `struct *Options` / `struct *Config` in src/**/*.h
 (nested ones such as `ExpectedCostEvaluator::Options` included) and
 collects its data members. A field counts as set when some file under
 src/, examples/, bench/ or e2ebench/ assigns it: `.f =`, `.f.g =` (a
-member of a nested struct) or `&x.f` (a flag binding). Every field that
+member of a nested struct) or `&x.f` (a flag binding), except through a
+receiver ending in `_` (a class clamping its own stored copy, as
+TenantRegistry does with `options_.f = 1`). Every field that
 no such file sets must be on ALLOWLIST below, with the reason it is
 kept; anything else is a knob only tests turn, which belongs in a named
 constant next to the code that reads it.
@@ -37,6 +39,12 @@ ALLOWLIST = {
         "deployment tuning, documented in docs/operations.md",
     "RetryOptions::max_backoff":
         "deployment tuning, documented in docs/operations.md",
+    "RegistryOptions::degrade_after_failures":
+        "deployment tuning of the serve watchdog, documented in "
+        "docs/operations.md; tests drive it at 1, 2 and 100",
+    "RegistryOptions::latency_sample_every":
+        "deployment tuning of latency sampling; its default of 16 is the "
+        "BM_ServeCentersQueryCached row, and a test samples every query",
     "CertainSolverOptions::epsilon":
         "the paper's epsilon of the plugged (1+eps) certain solver",
     "UnassignedSearchOptions::pipeline":
@@ -159,7 +167,10 @@ def main():
     shipped = "\n".join(shipped)
 
     def is_set(name):
-        pattern = (r"\.%s\s*=(?!=)|\.%s\.[\w.]*\w\s*=(?!=)|"
+        # A receiver ending in `_` is a class rewriting its own stored
+        # copy (a clamp such as `options_.queue_capacity = 1`), not a
+        # caller choosing a value.
+        pattern = (r"(?<!_)\.%s\s*=(?!=)|(?<!_)\.%s\.[\w.]*\w\s*=(?!=)|"
                    r"&\s*[\w.]+\.%s\b" % (name, name, name))
         return re.search(pattern, shipped) is not None
 

@@ -176,6 +176,9 @@ TEST(ParallelEvaluatorTest, PropagatesErrors) {
   EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0, -1}, {0}).ok());
   EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {}, {0}).ok());
   EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0}, {}).ok());
+  // Candidates are range-checked up front, before any screen walk.
+  EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0}, {-1}).ok());
+  EXPECT_FALSE(parallel.SwapCostMatrix(dataset, {0}, {0, -1}, 1.0).ok());
 }
 
 TEST(ConsumerDeterminismTest, LocalSearchUnassignedIsThreadCountInvariant) {

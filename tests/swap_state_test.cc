@@ -10,11 +10,19 @@
 //    centers at the same coordinates, a candidate cloning a center —
 //    and streams sorted across exactly tied distances score bitwise
 //    alike at every thread count and to rounding like a fresh
-//    UnassignedCost of the swapped set.
+//    UnassignedCost of the swapped set;
+//  * the certified screen (SwapCostMatrix with an incumbent): on the
+//    same fixtures, every finite entry is bitwise the unscreened one,
+//    every +inf entry's unscreened value is at least incumbent − the
+//    acceptance margin, the unscreened matrix is bitwise the per-swap
+//    engine score, and LocalSearchUnassigned follows bitwise the
+//    trajectory of a full-matrix replay at every pool size, with a
+//    pool-size invariant ukc_swap_screened_total.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -24,6 +32,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/unassigned.h"
 #include "cost/expected_cost_evaluator.h"
 #include "cost/parallel_evaluator.h"
 #include "exper/instances.h"
@@ -130,9 +140,14 @@ TEST(SwapStateTest, TailEventCountIsThreadCountInvariant) {
 
 // SwapStateBytes per location is flat in n, and the state outside the
 // event streams and ladders (SwapBaseMemoryBytes) is the k base rows
-// plus O(N): a second k×N double array breaks the (8k + 32)·N bound.
+// plus O(N), the screen's witnesses included (each round passes its
+// incumbent, as LocalSearchUnassigned does): a second k×N double array
+// breaks the (8k + 32)·N bound.
 TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
   constexpr size_t kK = 8;
+  cost::ExpectedCostEvaluator::Options linear_options;
+  linear_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator linear(linear_options);
   std::vector<double> bytes_per_location;
   for (size_t n : {2000u, 4000u, 8000u}) {
     const auto dataset = MakeDataset(n, 4, 41);
@@ -144,7 +159,8 @@ TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
     for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
     cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(2));
     for (size_t round = 0; round < 2; ++round) {
-      auto values = parallel.SwapCostMatrix(dataset, centers, pool);
+      auto values = parallel.SwapCostMatrix(
+          dataset, centers, pool, *linear.UnassignedCost(dataset, centers));
       ASSERT_TRUE(values.ok()) << values.status();
       ApplyBestSwap(*values, pool, &centers);
     }
@@ -162,8 +178,9 @@ TEST(SwapStateTest, SwapStateBytesAreLinearWithoutDistanceRows) {
       << bytes_per_location[1] << ", " << bytes_per_location[2];
 }
 
-// Random 2-d points whose space also holds `clones` extra sites, each
-// at the exact coordinates of an existing location (distinct site ids).
+// Random 2-d points under `norm` whose space also holds `clones` extra
+// sites, each at the exact coordinates of an existing location
+// (distinct site ids).
 struct CloneInstance {
   uncertain::UncertainDataset dataset;
   std::vector<SiteId> clones;    // clones[j] copies originals[j].
@@ -171,8 +188,9 @@ struct CloneInstance {
 };
 
 CloneInstance MakeCloneInstance(size_t n, size_t z, size_t clones,
-                                uint64_t seed) {
-  auto space = std::make_shared<metric::EuclideanSpace>(2);
+                                uint64_t seed,
+                                metric::Norm norm = metric::Norm::kL2) {
+  auto space = std::make_shared<metric::EuclideanSpace>(2, norm);
   Rng rng(seed);
   std::vector<uncertain::UncertainPoint> points;
   for (size_t i = 0; i < n; ++i) {
@@ -316,6 +334,296 @@ TEST(SwapStateTest, CandidateCloningACenterMatchesLinearCost) {
   std::vector<SiteId> pool = instance.clones;
   for (size_t i = 0; i < 8; ++i) pool.push_back(sites[(i * 53) % sites.size()]);
   ExpectSwapParity(instance.dataset, centers, pool, 3, "clone candidate");
+}
+
+// ---- The certified swap screen ----
+
+uint64_t ScreenedTotal() {
+  return obs::MetricsRegistry::Default().Snapshot().CounterTotal(
+      "ukc_swap_screened_total");
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Scores `rounds` rounds from `centers` twice per round, unscreened and
+// with the round's linear-path cost as the incumbent, at every thread
+// count: every finite screened entry is bitwise the unscreened one,
+// every +inf entry's unscreened value is at least incumbent − the
+// acceptance margin, the unscreened call screens nothing, and the
+// screened matrices and counts agree bitwise across thread counts.
+// Adds the screened entries of the first thread count's run to
+// *screened_total.
+void ExpectScreenParity(const uncertain::UncertainDataset& dataset,
+                        const std::vector<SiteId>& centers,
+                        const std::vector<SiteId>& pool, size_t rounds,
+                        const std::string& label, uint64_t* screened_total) {
+  cost::ExpectedCostEvaluator::Options linear_options;
+  linear_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator linear(linear_options);
+  std::vector<std::vector<double>> first_rounds;
+  uint64_t first_screened = 0;
+  for (int threads : kThreadCounts) {
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(threads));
+    std::vector<SiteId> trajectory = centers;
+    uint64_t screened = 0;
+    for (size_t round = 0; round < rounds; ++round) {
+      const double incumbent = *linear.UnassignedCost(dataset, trajectory);
+      const double margin =
+          cost::kMinRelativeSwapGain * std::max(1.0, incumbent);
+      const uint64_t before_full = ScreenedTotal();
+      auto full = parallel.SwapCostMatrix(dataset, trajectory, pool);
+      ASSERT_TRUE(full.ok()) << full.status();
+      EXPECT_EQ(ScreenedTotal(), before_full) << label;
+      const uint64_t before = ScreenedTotal();
+      auto got = parallel.SwapCostMatrix(dataset, trajectory, pool, incumbent);
+      ASSERT_TRUE(got.ok()) << got.status();
+      const uint64_t delta = ScreenedTotal() - before;
+      uint64_t infinite = 0;
+      for (size_t v = 0; v < full->size(); ++v) {
+        const std::string where = label + " threads=" +
+                                  std::to_string(threads) + " round=" +
+                                  std::to_string(round) + " swap=" +
+                                  std::to_string(v);
+        ASSERT_TRUE(std::isfinite((*full)[v])) << where;
+        if (std::isinf((*got)[v])) {
+          ++infinite;
+          EXPECT_GE((*full)[v], incumbent - margin)
+              << where << " incumbent=" << incumbent;
+        } else {
+          EXPECT_TRUE(SameBits((*got)[v], (*full)[v]))
+              << where << ": " << (*got)[v] << " vs " << (*full)[v];
+        }
+      }
+      EXPECT_EQ(delta, infinite) << label << " round=" << round;
+      screened += infinite;
+      if (threads == kThreadCounts[0]) {
+        first_rounds.push_back(*got);
+      } else {
+        EXPECT_EQ(*got, first_rounds[round])
+            << label << " threads=" << threads << " round=" << round;
+      }
+      ApplyBestSwap(*full, pool, &trajectory);
+    }
+    if (threads == kThreadCounts[0]) {
+      first_screened = screened;
+    } else {
+      EXPECT_EQ(screened, first_screened) << label << " threads=" << threads;
+    }
+  }
+  *screened_total += first_screened;
+}
+
+std::vector<SiteId> StridedPool(const std::vector<SiteId>& sites, size_t count,
+                                size_t stride) {
+  std::vector<SiteId> pool;
+  for (size_t i = 0; i < count; ++i) {
+    pool.push_back(sites[(i * stride) % sites.size()]);
+  }
+  return pool;
+}
+
+TEST(SwapScreenTest, ScreenedEntriesAreCertifiedAndTheRestBitwise) {
+  uint64_t screened = 0;
+  {
+    const auto dataset = MakeDataset(1500, 4, 29);
+    const auto sites = dataset.LocationSites();
+    ExpectScreenParity(
+        dataset,
+        std::move(solver::Gonzalez(dataset.space(), sites, 6)).value().centers,
+        StridedPool(sites, 24, 977), 4, "clustered", &screened);
+  }
+  {
+    const auto dataset = MakeGridInstance(1500, 4, 71);
+    const auto sites = dataset.LocationSites();
+    ExpectScreenParity(
+        dataset,
+        std::move(solver::Gonzalez(dataset.space(), sites, 8)).value().centers,
+        StridedPool(sites, 24, 977), 4, "integer grid", &screened);
+  }
+  {
+    const auto dataset = MakeDataset(200, 3, 53, exper::Family::kGridGraph);
+    const auto sites = dataset.LocationSites();
+    ExpectScreenParity(
+        dataset,
+        std::move(solver::Gonzalez(dataset.space(), sites, 4)).value().centers,
+        StridedPool(sites, 16, 41), 3, "grid graph", &screened);
+  }
+  for (metric::Norm norm : {metric::Norm::kL1, metric::Norm::kLInf}) {
+    const CloneInstance instance = MakeCloneInstance(400, 3, 0, 83, norm);
+    const auto sites = instance.dataset.LocationSites();
+    ExpectScreenParity(
+        instance.dataset,
+        std::move(solver::Gonzalez(instance.dataset.space(), sites, 5))
+            .value()
+            .centers,
+        StridedPool(sites, 16, 53), 3,
+        norm == metric::Norm::kL1 ? "L1" : "LInf", &screened);
+  }
+  {
+    // Two centers at identical coordinates: d2 == d1 everywhere.
+    const CloneInstance instance = MakeCloneInstance(150, 3, 1, 61);
+    const auto sites = instance.dataset.LocationSites();
+    ExpectScreenParity(
+        instance.dataset, {instance.originals[0], instance.clones[0]},
+        StridedPool(sites, 10, 43), 3, "coincident k=2", &screened);
+  }
+  {
+    // A candidate at a center's exact coordinates.
+    const CloneInstance instance = MakeCloneInstance(150, 3, 3, 67);
+    std::vector<SiteId> pool = instance.clones;
+    const auto sites = instance.dataset.LocationSites();
+    for (SiteId site : StridedPool(sites, 8, 53)) pool.push_back(site);
+    ExpectScreenParity(instance.dataset, instance.originals, pool,
+                                   3, "clone candidate", &screened);
+  }
+  // k = 1: every d2 is +inf, so no finite bound on the swapped
+  // distances exists and nothing may be screened.
+  for (exper::Family family :
+       {exper::Family::kClustered, exper::Family::kGridGraph}) {
+    const auto dataset = MakeDataset(120, 3, 53, family);
+    const auto sites = dataset.LocationSites();
+    uint64_t single = 0;
+    ExpectScreenParity(dataset, {sites[sites.size() / 2]},
+                       StridedPool(sites, 9, 41), 3, "k=1", &single);
+    EXPECT_EQ(single, 0u);
+  }
+  EXPECT_GT(screened, 0u);
+}
+
+// The unscreened matrix is bitwise the engine's per-swap score: base
+// rows from MetricSpace::Distance, one BuildSwapBase per position and
+// one UnassignedCostSwapPresorted per candidate.
+TEST(SwapScreenTest, UnscreenedMatrixIsThePerSwapScore) {
+  for (exper::Family family :
+       {exper::Family::kClustered, exper::Family::kGridGraph}) {
+    const auto dataset = MakeDataset(300, 3, 37, family);
+    const auto sites = dataset.LocationSites();
+    const std::vector<SiteId> centers =
+        std::move(solver::Gonzalez(dataset.space(), sites, 4)).value().centers;
+    const std::vector<SiteId> pool = StridedPool(sites, 12, 31);
+    cost::ParallelCandidateEvaluator parallel(EvaluatorOptions(2));
+    const std::vector<double> matrix =
+        *parallel.SwapCostMatrix(dataset, centers, pool);
+
+    const size_t total = dataset.total_locations();
+    std::vector<uint32_t> point_of(total);
+    for (size_t i = 0; i < dataset.n(); ++i) {
+      for (size_t l = dataset.offsets()[i]; l < dataset.offsets()[i + 1]; ++l) {
+        point_of[l] = static_cast<uint32_t>(i);
+      }
+    }
+    cost::ExpectedCostEvaluator engine;
+    for (size_t p = 0; p < centers.size(); ++p) {
+      std::vector<double> row(total, std::numeric_limits<double>::infinity());
+      for (size_t l = 0; l < total; ++l) {
+        for (size_t q = 0; q < centers.size(); ++q) {
+          if (q == p) continue;
+          row[l] = std::min(
+              row[l], dataset.space().Distance(dataset.flat_sites()[l], centers[q]));
+        }
+      }
+      cost::ExpectedCostEvaluator::SwapBase base;
+      ASSERT_TRUE(engine.BuildSwapBase(dataset, row, point_of, &base).ok());
+      for (size_t c = 0; c < pool.size(); ++c) {
+        const double want = *engine.UnassignedCostSwapPresorted(
+            dataset, row, base, point_of, pool[c]);
+        EXPECT_TRUE(SameBits(matrix[p * pool.size() + c], want))
+            << "p=" << p << " c=" << c;
+      }
+    }
+  }
+}
+
+// LocalSearchUnassigned's own loop with the 3-argument (full) matrix.
+core::UnassignedSolution FullMatrixReplay(uncertain::UncertainDataset* dataset,
+                                          core::UnassignedSearchOptions options) {
+  const size_t max_swaps = options.max_swaps;
+  options.max_swaps = 0;  // The seed and its cost.
+  core::UnassignedSolution solution =
+      std::move(core::LocalSearchUnassigned(dataset, options)).value();
+  cost::ParallelCandidateEvaluator::Options parallel_options;
+  parallel_options.threads = 1;
+  parallel_options.evaluator.kdtree_cutover =
+      std::numeric_limits<size_t>::max();
+  cost::ParallelCandidateEvaluator full(parallel_options);
+  const std::vector<SiteId>& pool = options.candidates;
+  for (size_t round = 0; round < max_swaps; ++round) {
+    const std::vector<double> values =
+        *full.SwapCostMatrix(*dataset, solution.centers, pool);
+    double best_value = solution.expected_cost;
+    size_t best_position = 0;
+    SiteId best_replacement = metric::kInvalidSite;
+    for (size_t p = 0; p < solution.centers.size(); ++p) {
+      for (size_t c = 0; c < pool.size(); ++c) {
+        if (pool[c] == solution.centers[p]) continue;
+        if (values[p * pool.size() + c] < best_value) {
+          best_value = values[p * pool.size() + c];
+          best_position = p;
+          best_replacement = pool[c];
+        }
+      }
+    }
+    if (best_replacement == metric::kInvalidSite ||
+        solution.expected_cost - best_value <
+            cost::kMinRelativeSwapGain *
+                std::max(1.0, solution.expected_cost)) {
+      break;
+    }
+    solution.centers[best_position] = best_replacement;
+    solution.expected_cost = best_value;
+    ++solution.swaps;
+  }
+  return solution;
+}
+
+TEST(SwapScreenTest, LocalSearchFollowsTheFullMatrixAtEveryPoolSize) {
+  struct Fixture {
+    std::string label;
+    size_t n, z, k;
+    exper::Family family;
+  };
+  const Fixture fixtures[] = {
+      {"clustered", 600, 4, 5, exper::Family::kClustered},
+      {"grid graph", 150, 3, 3, exper::Family::kGridGraph},
+      {"k=1", 200, 3, 1, exper::Family::kClustered},
+  };
+  uint64_t screened = 0;
+  for (const Fixture& fixture : fixtures) {
+    // A fresh dataset per search: the Euclidean seed mints sites.
+    const auto fresh = [&] { return MakeDataset(fixture.n, fixture.z, 43, fixture.family); };
+    auto dataset = fresh();
+    core::UnassignedSearchOptions options;
+    options.k = fixture.k;
+    options.candidates = StridedPool(dataset.LocationSites(), 40, 97);
+    options.max_swaps = 8;
+    const core::UnassignedSolution want = FullMatrixReplay(&dataset, options);
+
+    std::vector<uint64_t> counts;
+    for (int threads : {0, 1, 2, 4}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      options.pool = pool.get();
+      auto copy = fresh();
+      const uint64_t before = ScreenedTotal();
+      auto got = core::LocalSearchUnassigned(&copy, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      counts.push_back(ScreenedTotal() - before);
+      EXPECT_EQ(got->centers, want.centers)
+          << fixture.label << " threads=" << threads;
+      EXPECT_TRUE(SameBits(got->expected_cost, want.expected_cost))
+          << fixture.label << " threads=" << threads << ": "
+          << got->expected_cost << " vs " << want.expected_cost;
+      EXPECT_EQ(got->swaps, want.swaps)
+          << fixture.label << " threads=" << threads;
+    }
+    for (uint64_t count : counts) {
+      EXPECT_EQ(count, counts[0]) << fixture.label;
+    }
+    screened += counts[0];
+  }
+  EXPECT_GT(screened, 0u);
 }
 
 }  // namespace
