@@ -32,11 +32,9 @@ struct RetryCounters {
   obs::Counter* exhausted;
 };
 
-RetryCounters CountersForSite(const RetryOptions& options) {
-  obs::MetricsRegistry& registry = options.metrics != nullptr
-                                       ? *options.metrics
-                                       : obs::MetricsRegistry::Default();
-  const obs::LabelList labels = {{"site", options.metrics_site}};
+RetryCounters CountersForSite(obs::MetricsRegistry& registry,
+                              const std::string& site) {
+  const obs::LabelList labels = {{"site", site}};
   return RetryCounters{
       registry.GetCounter("ukc_retry_attempts_total",
                           "Operations started under RetryTransient, first "
@@ -52,17 +50,16 @@ RetryCounters CountersForSite(const RetryOptions& options) {
 }  // namespace
 
 Status RetryTransient(const RetryOptions& options,
-                      const std::function<Status()>& op, RetryStats* stats) {
+                      obs::MetricsRegistry& metrics, const std::string& site,
+                      const std::function<Status()>& op) {
   const int attempts = std::max(1, options.max_attempts);
-  const RetryCounters counters = CountersForSite(options);
+  const RetryCounters counters = CountersForSite(metrics, site);
   Status last = Status::OK();
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (stats != nullptr) ++stats->attempts;
     counters.attempts->Increment();
     last = op();
     if (!last.IsTransientError()) return last;  // Success or permanent.
     if (attempt == attempts) break;
-    if (stats != nullptr) ++stats->retries;
     counters.retries->Increment();
     const std::chrono::nanoseconds backoff = BackoffForRetry(options, attempt);
     if (backoff.count() > 0) {
@@ -73,7 +70,6 @@ Status RetryTransient(const RetryOptions& options,
       }
     }
   }
-  if (stats != nullptr) ++stats->exhausted;
   counters.exhausted->Increment();
   return last.WithPrefix(
       StrFormat("transient failure persisted after %d attempts", attempts));

@@ -18,7 +18,6 @@
 #define UKC_COMMON_RETRY_H_
 
 #include <chrono>
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -39,22 +38,6 @@ struct RetryOptions {
   /// Sleep hook; null = std::this_thread::sleep_for. Tests inject a
   /// recorder to assert the schedule without wall-clock waits.
   std::function<void(std::chrono::nanoseconds)> sleeper;
-  /// Observability: every loop emits ukc_retry_{attempts,retries,
-  /// exhausted}_total{site=metrics_site} through `metrics` (null = the
-  /// process-wide obs::MetricsRegistry::Default()). The site label
-  /// scopes the counters per boundary ("ingest.read");
-  /// callers that hand-counted RetryStats into their own stat structs
-  /// keep working, but the registry is the queryable surface.
-  std::string metrics_site = "default";
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Counters of one retry loop (aggregated into IngestStats by the
-/// streaming layer).
-struct RetryStats {
-  uint64_t attempts = 0;   // Operations started, first tries included.
-  uint64_t retries = 0;    // Re-tries after a transient failure.
-  uint64_t exhausted = 0;  // Transient failures given up on.
 };
 
 /// The deterministic backoff before 1-based retry `retry_number`.
@@ -64,10 +47,13 @@ std::chrono::nanoseconds BackoffForRetry(const RetryOptions& options,
 /// Runs `op` up to max_attempts times while it fails transiently.
 /// Returns the first success, the first permanent error, or — when
 /// every attempt failed transiently — the last error annotated with
-/// the attempt count. `stats`, when given, accumulates across calls.
+/// the attempt count. Every loop counts into `metrics` under
+/// ukc_retry_{attempts,retries,exhausted}_total{site=`site`}, the
+/// only record of its attempts; the site label names the boundary
+/// ("ingest.read").
 Status RetryTransient(const RetryOptions& options,
-                      const std::function<Status()>& op,
-                      RetryStats* stats = nullptr);
+                      obs::MetricsRegistry& metrics, const std::string& site,
+                      const std::function<Status()>& op);
 
 }  // namespace ukc
 

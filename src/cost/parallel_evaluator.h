@@ -135,10 +135,14 @@ class ParallelCandidateEvaluator {
   /// the resident rung CDFs and the escalation side tables. How often
   /// the ladder escalates is counted in the obs registry
   /// (ukc_ladder_escalations_total, ukc_ladder_replayed_events_total).
+  /// No shipped code calls it: with SwapStateBytes it is the accessor
+  /// behind swap_state_test's linear-memory bound.
   size_t SwapBaseMemoryBytes() const;
   /// Everything SwapCostMatrix keeps between calls: the base rows,
   /// d1 / d2 / owner, the location → point map, the screen's witness
-  /// store and SwapBaseMemoryBytes (capacities, in bytes).
+  /// store and SwapBaseMemoryBytes (capacities, in bytes). No shipped
+  /// code calls it: it is the accessor behind swap_state_test's
+  /// linear-memory bound.
   size_t SwapStateBytes() const;
 
   /// Generic sharding hook: runs fn(evaluator, task) for every task in

@@ -35,13 +35,6 @@ EuclideanSpace::EuclideanSpace(size_t dim, std::vector<geometry::Point> points,
   num_sites_ = static_cast<SiteId>(points.size());
 }
 
-double EuclideanSpace::PointDistance(const geometry::Point& a,
-                                     const geometry::Point& b) const {
-  UKC_DCHECK_EQ(a.dim(), dim_);
-  UKC_DCHECK_EQ(b.dim(), dim_);
-  return NormDistanceKernel(norm_, a.coords().data(), b.coords().data(), dim_);
-}
-
 std::string EuclideanSpace::Name() const {
   return StrFormat("%s(R^%zu, %d sites)", NormToString(norm_).c_str(), dim_,
                    static_cast<int>(num_sites_));

@@ -110,17 +110,6 @@ class EuclideanSpace : public MetricSpace {
     return NormDistanceKernel(norm_, coords(a), p.coords().data(), dim_);
   }
 
-  /// Distance between two free points under this space's norm.
-  double PointDistance(const geometry::Point& a,
-                       const geometry::Point& b) const;
-
-  /// Distance between two views under this space's norm.
-  double ViewDistance(geometry::PointView a, geometry::PointView b) const {
-    UKC_DCHECK_EQ(a.dim(), dim_);
-    UKC_DCHECK_EQ(b.dim(), dim_);
-    return NormDistanceKernel(norm_, a.data(), b.data(), dim_);
-  }
-
   /// Copies the coordinates of `sites` into a contiguous row-major
   /// buffer (resized to sites.size() * dim()). Site ids are hard-checked
   /// (all build types). The gathered block is the standard prelude for

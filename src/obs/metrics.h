@@ -186,8 +186,6 @@ class Gauge {
 class Histogram {
  public:
   void Observe(double value);
-  /// Observe seconds-scale durations; sugar for stage timers.
-  void ObserveSeconds(double seconds) { Observe(seconds); }
 
   HistogramSnapshot Snapshot() const;
 

@@ -35,9 +35,9 @@ TenantRegistry::TenantRegistry(RegistryOptions options)
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.degrade_after_failures < 1) options_.degrade_after_failures = 1;
   if (options_.latency_sample_every == 0) options_.latency_sample_every = 1;
-  // Registry-wide counters mirror ServeStats one-for-one (the chaos
-  // suite asserts exported snapshot == observed events); handles are
-  // resolved once, increments are lock-free relaxed adds.
+  // The registry-wide counters are the only store of the serve event
+  // counts (stats() reads them back); handles are resolved once,
+  // increments are lock-free relaxed adds.
   obs::MetricsRegistry& m = *metrics_;
   const char* appends = "ukc_serve_appends_total";
   const char* appends_help = "Append submissions by outcome";
@@ -131,11 +131,28 @@ const Tenant* TenantRegistry::FindTenant(const std::string& id) const {
   return it == tenants_.end() ? nullptr : it->second.tenant.get();
 }
 
-std::vector<std::string> TenantRegistry::TenantIds() const {
-  std::vector<std::string> ids;
-  ids.reserve(tenants_.size());
-  for (const auto& [id, slot] : tenants_) ids.push_back(id);
-  return ids;
+ServeStats TenantRegistry::stats() const {
+  ServeStats stats;
+  stats.appends_submitted = metric_.appends_submitted->Value();
+  stats.appends_shed = metric_.appends_shed->Value();
+  stats.enqueue_faults = metric_.enqueue_faults->Value();
+  stats.appends_refused = metric_.appends_refused->Value();
+  stats.appends_applied = metric_.appends_applied->Value();
+  stats.append_failures = metric_.append_failures->Value();
+  stats.snapshots_saved = metric_.snapshots_saved->Value();
+  stats.snapshot_failures = metric_.snapshot_failures->Value();
+  stats.degrade_events = metric_.degrade_events->Value();
+  stats.recover_events = metric_.recover_events->Value();
+  stats.queries_answered = metric_.queries_answered->Value();
+  stats.queries_deadline_exceeded = metric_.queries_deadline_exceeded->Value();
+  stats.queries_failed = metric_.queries_failed->Value();
+  stats.deletes_submitted = metric_.deletes_submitted->Value();
+  stats.deletes_shed = metric_.deletes_shed->Value();
+  stats.deletes_refused = metric_.deletes_refused->Value();
+  stats.deletes_applied = metric_.deletes_applied->Value();
+  stats.delete_failures = metric_.delete_failures->Value();
+  stats.points_expired = metric_.points_expired->Value();
+  return stats;
 }
 
 size_t TenantRegistry::QueueDepth(const std::string& id) const {
@@ -145,7 +162,6 @@ size_t TenantRegistry::QueueDepth(const std::string& id) const {
 
 Status TenantRegistry::SubmitAppend(
     const std::string& id, const uncertain::UncertainPointBatch& batch) {
-  ++stats_.appends_submitted;
   metric_.appends_submitted->Increment();
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
@@ -165,7 +181,6 @@ Status TenantRegistry::SubmitAppend(
       const Status valid = uncertain::ValidateCoordinates(
           coords.subspan(begin, end - begin), batch.dim);
       if (!valid.ok()) {
-        ++stats_.appends_refused;
         metric_.appends_refused->Increment();
         return valid.WithPrefix(StrFormat("SubmitAppend: tenant %s point %zu",
                                           id.c_str(), i));
@@ -181,20 +196,17 @@ Status TenantRegistry::SubmitAppend(
       return Status::OK();
     }();
     if (!injected.ok()) {
-      ++stats_.enqueue_faults;
       metric_.enqueue_faults->Increment();
       return injected;
     }
   }
   if (slot.tenant->state() == TenantState::kDegraded) {
-    ++stats_.appends_refused;
     metric_.appends_refused->Increment();
     return Status::FailedPrecondition(
         StrFormat("SubmitAppend: tenant %s is degraded, writes refused",
                   id.c_str()));
   }
   if (slot.queue.size() >= options_.queue_capacity) {
-    ++stats_.appends_shed;
     metric_.appends_shed->Increment();
     return ShedStatus(
         StrFormat("tenant %s append queue is full (%zu queued)", id.c_str(),
@@ -210,7 +222,6 @@ Status TenantRegistry::SubmitAppend(
 Status TenantRegistry::SubmitDelete(
     const std::string& id, uint64_t index,
     const uncertain::UncertainPointBatch& point) {
-  ++stats_.deletes_submitted;
   metric_.deletes_submitted->Increment();
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
@@ -219,21 +230,18 @@ Status TenantRegistry::SubmitDelete(
   }
   Slot& slot = it->second;
   if (!slot.tenant->config().allow_deletes) {
-    ++stats_.deletes_refused;
     metric_.deletes_refused->Increment();
     return Status::FailedPrecondition(
         StrFormat("SubmitDelete: tenant %s does not allow deletes",
                   id.c_str()));
   }
   if (slot.tenant->state() == TenantState::kDegraded) {
-    ++stats_.deletes_refused;
     metric_.deletes_refused->Increment();
     return Status::FailedPrecondition(
         StrFormat("SubmitDelete: tenant %s is degraded, writes refused",
                   id.c_str()));
   }
   if (slot.queue.size() >= options_.queue_capacity) {
-    ++stats_.deletes_shed;
     metric_.deletes_shed->Increment();
     return ShedStatus(
         StrFormat("tenant %s write queue is full (%zu queued)", id.c_str(),
@@ -253,7 +261,6 @@ void TenantRegistry::RecordFailure(Slot* slot, DrainResult* result) {
   if (slot->consecutive_failures >= options_.degrade_after_failures &&
       slot->tenant->state() == TenantState::kLive) {
     slot->tenant->MarkDegraded();
-    ++stats_.degrade_events;
     metric_.degrade_events->Increment();
     ++result->degraded;
   }
@@ -285,17 +292,14 @@ DrainResult TenantRegistry::Drain() {
       }
       if (probe.ok()) {
         if (!tenant.config().snapshot_path.empty()) {
-          ++stats_.snapshots_saved;
           metric_.snapshots_saved->Increment();
           ++result.snapshots;
         }
         tenant.MarkLive();
         slot.consecutive_failures = 0;
-        ++stats_.recover_events;
         metric_.recover_events->Increment();
         ++result.recovered;
       } else {
-        ++stats_.snapshot_failures;
         metric_.snapshot_failures->Increment();
         ++slot.consecutive_failures;
       }
@@ -308,10 +312,8 @@ DrainResult TenantRegistry::Drain() {
         // Queued before the degrade: dropped un-acked (never silently
         // applied later against a rolled-back coreset).
         if (op.is_delete) {
-          ++stats_.deletes_refused;
           metric_.deletes_refused->Increment();
         } else {
-          ++stats_.appends_refused;
           metric_.appends_refused->Increment();
         }
         ++result.refused;
@@ -323,10 +325,8 @@ DrainResult TenantRegistry::Drain() {
                                  : tenant.Append(op.batch);
       if (!applied.ok()) {
         if (op.is_delete) {
-          ++stats_.delete_failures;
           metric_.delete_failures->Increment();
         } else {
-          ++stats_.append_failures;
           metric_.append_failures->Increment();
         }
         ++result.failed;
@@ -334,16 +334,13 @@ DrainResult TenantRegistry::Drain() {
         continue;
       }
       if (op.is_delete) {
-        ++stats_.deletes_applied;
         metric_.deletes_applied->Increment();
       } else {
-        ++stats_.appends_applied;
         metric_.appends_applied->Increment();
       }
       ++result.applied;
       const uint64_t newly_expired = tenant.expired_points() - expired_before;
       if (newly_expired > 0) {
-        stats_.points_expired += newly_expired;
         metric_.points_expired->Add(newly_expired);
         result.expired += newly_expired;
       }
@@ -359,11 +356,9 @@ DrainResult TenantRegistry::Drain() {
           tenant.epoch() % config.snapshot_every_appends == 0) {
         const Status saved = tenant.Snapshot();
         if (saved.ok()) {
-          ++stats_.snapshots_saved;
           metric_.snapshots_saved->Increment();
           ++result.snapshots;
         } else {
-          ++stats_.snapshot_failures;
           metric_.snapshot_failures->Increment();
           RecordFailure(&slot, &result);
           unit_ok = false;
@@ -384,13 +379,10 @@ void TenantRegistry::CountQuery(Slot* slot, QueryShape shape,
                                 const Status& status, bool sampled,
                                 double seconds) {
   if (status.ok()) {
-    ++stats_.queries_answered;
     metric_.queries_answered->Increment();
   } else if (status.code() == StatusCode::kDeadlineExceeded) {
-    ++stats_.queries_deadline_exceeded;
     metric_.queries_deadline_exceeded->Increment();
   } else {
-    ++stats_.queries_failed;
     metric_.queries_failed->Increment();
   }
   // Latency is recorded for answered AND failed queries — a tenant
@@ -404,7 +396,6 @@ Result<Tenant::CentersAnswer> TenantRegistry::QueryCenters(
     const std::string& id, const Deadline& deadline) {
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
-    ++stats_.queries_failed;
     metric_.queries_failed->Increment();
     return Status::NotFound(
         StrFormat("QueryCenters: unknown tenant %s", id.c_str()));
@@ -426,7 +417,6 @@ Result<Tenant::CostAnswer> TenantRegistry::QueryCandidateCost(
     size_t num_candidates, const Deadline& deadline) {
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
-    ++stats_.queries_failed;
     metric_.queries_failed->Increment();
     return Status::NotFound(
         StrFormat("QueryCandidateCost: unknown tenant %s", id.c_str()));
@@ -446,7 +436,6 @@ Result<Tenant::BracketAnswer> TenantRegistry::QueryBracket(
     size_t num_candidates, const Deadline& deadline) {
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
-    ++stats_.queries_failed;
     metric_.queries_failed->Increment();
     return Status::NotFound(
         StrFormat("QueryBracket: unknown tenant %s", id.c_str()));

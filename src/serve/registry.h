@@ -67,11 +67,12 @@ struct RegistryOptions {
   /// that assert on the latency series use this); 0 normalizes to 1.
   uint32_t latency_sample_every = 16;
   /// Registry the serving telemetry meters into (null = the
-  /// process-wide obs::MetricsRegistry::Default()). Metrics mirror the
-  /// ServeStats counters one-for-one — the chaos suite asserts the
-  /// exported snapshot matches the observed event counts exactly — and
-  /// add per-tenant query-latency histograms by query shape plus
-  /// queue-depth gauges; see docs/operations.md ("Observability").
+  /// process-wide obs::MetricsRegistry::Default()). Its counters are
+  /// the only store of the serve event counts: stats() reads them
+  /// back, so registries that share one metrics registry report the
+  /// sum of their counts. Per-tenant query-latency histograms by query
+  /// shape and queue-depth gauges ride along; see docs/operations.md
+  /// ("Observability").
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -97,9 +98,6 @@ class TenantRegistry {
   /// The tenant, or nullptr when unknown.
   Tenant* FindTenant(const std::string& id);
   const Tenant* FindTenant(const std::string& id) const;
-
-  /// Registered ids in ascending order (the Drain order).
-  std::vector<std::string> TenantIds() const;
 
   /// Queued appends for one tenant (0 for unknown ids).
   size_t QueueDepth(const std::string& id) const;
@@ -152,7 +150,10 @@ class TenantRegistry {
   /// cleared — the caller's replay is the source of truth.
   Status RestoreTenant(const std::string& id, uint64_t* restored_epoch);
 
-  const ServeStats& stats() const { return stats_; }
+  /// The serve counters, read from the metrics registry (the only
+  /// store of them). A registry shared by several TenantRegistry
+  /// instances holds, and so reports, the sum of their counts.
+  ServeStats stats() const;
 
   /// The registry this instance meters into (the resolved
   /// RegistryOptions::metrics).
@@ -183,7 +184,8 @@ class TenantRegistry {
     obs::Gauge* queue_depth = nullptr;
   };
 
-  // Registry-wide counter handles, mirroring ServeStats one-for-one.
+  // Registry-wide counter handles: the store behind stats(), plus the
+  // failover-restore count, which ServeStats does not report.
   struct Metrics {
     obs::Counter* appends_submitted;
     obs::Counter* appends_shed;
@@ -225,7 +227,6 @@ class TenantRegistry {
   obs::MetricsRegistry* metrics_ = nullptr;
   Metrics metric_;
   std::map<std::string, Slot> tenants_;  // Ordered: the Drain order.
-  ServeStats stats_;
 };
 
 }  // namespace serve

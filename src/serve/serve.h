@@ -98,7 +98,11 @@ Status ShedStatus(const std::string& detail);
 /// True iff `status` is a load-shed rejection from this layer.
 bool IsShed(const Status& status);
 
-/// Counters of one registry (monotone; see docs/operations.md).
+/// The serve counters, as TenantRegistry::stats() reads them out of
+/// its metrics registry (monotone; see docs/operations.md). The
+/// registry's counters are the only store: this struct is a copy
+/// taken at the call, and a metrics registry shared by several
+/// TenantRegistry instances reports the sum of their counts.
 struct ServeStats {
   uint64_t appends_submitted = 0;   // SubmitAppend calls.
   uint64_t appends_shed = 0;        // Rejected: queue full.

@@ -334,37 +334,21 @@ IngestMetrics ResolveIngestMetrics(const IngestOptions& options) {
       m.GetCounter(saves, saves_help, {{"outcome", "failed"}})};
 }
 
-// The caller's retry policy with the observability site applied:
-// retry counters land under site="ingest.read" (unless the caller
-// chose a site) and meter into the run's registry.
-RetryOptions IngestRetryOptions(const IngestOptions& options) {
-  RetryOptions retry = options.retry;
-  if (retry.metrics_site == "default") retry.metrics_site = "ingest.read";
-  if (retry.metrics == nullptr) retry.metrics = options.metrics;
-  return retry;
-}
-
 // One retry-wrapped, fault-injectable batch pull. Transient failures
 // (kUnavailable — today only injected ones) are retried per
-// options.retry; the fault point sits inside the retried op so an
-// injected transient hiccup exercises the same path a real one would.
+// options.retry and counted under site="ingest.read" in the run's
+// registry; the fault point sits inside the retried op so an injected
+// transient hiccup exercises the same path a real one would.
 Result<bool> PullBatch(const ResumableSource& source,
-                       const RetryOptions& retry,
-                       uncertain::UncertainPointBatch* batch,
-                       IngestStats* counters) {
+                       const IngestOptions& options,
+                       uncertain::UncertainPointBatch* batch) {
   bool more = false;
-  RetryStats retry_stats;
-  const Status status = RetryTransient(
-      retry,
-      [&]() -> Status {
+  UKC_RETURN_IF_ERROR(RetryTransient(
+      options.retry, IngestRegistry(options), "ingest.read", [&]() -> Status {
         UKC_INJECT_FAULT("ingest.read");
         UKC_ASSIGN_OR_RETURN(more, source.next(batch));
         return Status::OK();
-      },
-      &retry_stats);
-  counters->read_retries += retry_stats.retries;
-  counters->read_exhausted += retry_stats.exhausted;
-  UKC_RETURN_IF_ERROR(status);
+      }));
   return more;
 }
 
@@ -385,7 +369,6 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
   UKC_OBS_SPAN("stream.ingest");
   const bool checkpointing = !options.checkpoint.path.empty();
   const IngestMetrics metric = ResolveIngestMetrics(options);
-  const RetryOptions retry = IngestRetryOptions(options);
 
   // Shard coresets are constructed on the first batch, when the
   // stream's norm is known; a restored prefix pre-latches the norm (a
@@ -412,7 +395,7 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     Status status;
     std::optional<SourceCursor> cursor;  // Stream position after this group.
   };
-  const auto fill_group = [&source, &retry, &counters, &metric, shards,
+  const auto fill_group = [&source, &options, &metric, shards,
                            checkpointing](Group* group) {
     UKC_OBS_TIMER(metric.read_seconds);
     group->loaded = 0;
@@ -420,8 +403,8 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     group->status = Status::OK();
     group->cursor = std::nullopt;
     while (group->loaded < shards) {
-      Result<bool> more = PullBatch(source, retry,
-                                    &group->batches[group->loaded], &counters);
+      Result<bool> more =
+          PullBatch(source, options, &group->batches[group->loaded]);
       if (!more.ok()) {
         group->status = more.status();
         return;
@@ -540,7 +523,6 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
       metric.checkpoints_saved->Increment();
       last_saved_batches = counters.batches;
     } else {
-      ++counters.checkpoint_save_failures;
       metric.checkpoints_failed->Increment();
     }
   };
@@ -713,10 +695,8 @@ Result<StreamingCoreset> IngestCoreset(size_t dim,
           uint64_t replay_hash = kHashSeed;
           uint64_t replayed = 0;
           while (replayed < loaded->batches) {
-            UKC_ASSIGN_OR_RETURN(
-                bool more,
-                PullBatch(opened, IngestRetryOptions(options), &discard,
-                          &counters));
+            UKC_ASSIGN_OR_RETURN(bool more,
+                                 PullBatch(opened, options, &discard));
             if (!more) {  // The stream is shorter than the checkpoint.
               accepted = false;
               break;

@@ -162,10 +162,13 @@ struct IngestOptions {
   /// obs::MetricsRegistry::Default()): stage timers
   /// (ukc_ingest_stage_seconds{stage=read|process|merge}), throughput
   /// counters (ukc_ingest_{batches,points}_total), checkpoint latency
-  /// (ukc_ingest_checkpoint_seconds{op=save|restore}) and outcome
-  /// counters. Retry counters ride retry.metrics_site (defaulted to
-  /// "ingest.read" here). Metrics never feed the coreset state — the
-  /// bitwise-determinism guarantee is untouched.
+  /// (ukc_ingest_checkpoint_seconds{op=save|restore}), checkpoint
+  /// outcomes (ukc_ingest_checkpoints_total{outcome}) and the read
+  /// retries (ukc_retry_*_total{site="ingest.read"}). The registry is
+  /// the only store of the retry and failed-save counts, and a
+  /// registry shared by several runs holds their sum. Metrics never
+  /// feed the coreset state — the bitwise-determinism guarantee is
+  /// untouched.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -176,14 +179,10 @@ struct IngestStats {
   uint64_t points = 0;
   uint64_t locations = 0;
   uint64_t batches = 0;
-  /// Batch pulls re-tried after a transient failure (and of those,
-  /// retry budgets exhausted — the run then failed).
-  uint64_t read_retries = 0;
-  uint64_t read_exhausted = 0;
-  /// Checkpoints written / failed to write. Save failures are
-  /// non-fatal: the previous sidecar remains the recovery point.
+  /// Checkpoints written. Save failures are non-fatal (the previous
+  /// sidecar remains the recovery point) and are counted only in the
+  /// registry, as ukc_ingest_checkpoints_total{outcome="failed"}.
   uint64_t checkpoint_saves = 0;
-  uint64_t checkpoint_save_failures = 0;
   /// Restore outcome: whether a checkpoint was accepted, how many
   /// batches it skipped (restored_batches) and how many had to be
   /// replayed to verify the content fingerprint (replayed_batches).

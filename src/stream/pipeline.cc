@@ -27,6 +27,38 @@ constexpr double kInvLogScale = 1.0 / kLogScale;
 // the integrand.
 constexpr double kLogClamp = -64.0;
 
+// Relative slack of the certified verify grid top
+//   T = (coreset_cost + diameter + 2 · max_spread) · (1 + slack).
+// Exactly: let a point have locations x_l, normalised mean P̄ (a convex
+// combination of them), computed expected point q, spread
+// s = max_l |x_l − q| and cell representative r, and let c be its ED
+// center and c' the center nearest r. Then
+//   |x_l − c| <= |x_l − q| + |q − P̄| + |P̄ − c|
+//             <= s + η + E|x − c'|          (Jensen, c is the ED argmin)
+//             <= 2s + η + |q − r| + |r − c'|,
+// with |q − r| under the diameter, |r − c'| under the coreset cost and
+// η = |q − P̄| the rounding of the mean. In floating point, with
+// u = 2^-53 and γ_m = m·u / (1 − m·u): every distance kernel (L2: d
+// subtractions, d squares, d − 1 additions, a square root; L1 and L∞
+// fewer) is within γ_{d+2} relative of the distance of its inputs
+// (no overflow in the ValidateCoordinates domain; underflow only adds
+// an absolute error below 1e-160), which affects the compared distance,
+// the spread and the cost; the ED comparison rounds each expectation
+// (z terms) by γ_{d+z+2}; and T itself rounds four times (two
+// additions, the product and this constant). Together these are at
+// most (4d + 2z + 12)·u relative, below 1e-9 for d and z < 2^20.
+// η is absolute: per axis it is at most (γ_z + |1 − 1/Σp|) times the
+// largest coordinate magnitude. The diameter absorbs it while that
+// stays under what its 1e-2 slack keeps spare beyond the cell keys'
+// own rounding (StreamingCoreset::diameter): 0.6% of a cell width at
+// the 2^44 key cap, 0.8% for coordinates under 2^43 cell widths — with
+// probabilities summing exactly to 1, any z <= 8 there. Past that
+// (many locations at the key cap, or probabilities that use the 1e-9
+// sum tolerance far from the origin) T is not certified, and
+// VerifyPass refuses the run rather than return a bracket that misses
+// the mass above T.
+constexpr double kGridTopRelativeSlack = 1e-9;
+
 // Per-worker accumulator of the verification pass. Every field merges
 // commutatively and exactly (integer adds, double max), so the reduced
 // grid does not depend on which worker saw which point.
@@ -390,11 +422,12 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   //   d(rep, nearest center) + diameter + 2 · spread
   // of its ED-assigned center (stream/coreset.h contract plus norm
   // convexity), so the integrand vanishes above it. The largest
-  // d(rep, nearest center) is the coreset cost.
+  // d(rep, nearest center) is the coreset cost. The rounding of the
+  // bound is derived at kGridTopRelativeSlack.
   stopwatch.Reset();
   const double grid_top = (solution.coreset_cost + coreset.diameter() +
                            2.0 * coreset.max_spread()) *
-                          (1.0 + 1e-9);
+                          (1.0 + kGridTopRelativeSlack);
   bool verify_positioned = false;
   UKC_ASSIGN_OR_RETURN(ResumableSource verify_source,
                        factory(nullptr, &verify_positioned));

@@ -26,6 +26,7 @@
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "exper/instances.h"
+#include "obs/metrics.h"
 #include "stream/checkpoint.h"
 #include "stream/coreset.h"
 #include "stream/ingest.h"
@@ -90,6 +91,16 @@ IngestOutcome RunOnce(const stream::ResumableSourceFactory& factory, size_t dim,
     out.status = coreset.status();
   }
   return out;
+}
+
+// One ingest.read retry counter (ukc_retry_<what>_total) as `registry`
+// holds it; 0 when no pull has registered the series.
+uint64_t ReadRetryCounter(const obs::MetricsRegistry& registry,
+                          const char* name) {
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  const obs::MetricSnapshot* series =
+      snapshot.Find(name, {{"site", "ingest.read"}});
+  return series == nullptr ? 0u : series->counter_value;
 }
 
 void ExpectCellsBitwiseEqual(
@@ -369,13 +380,15 @@ TEST_F(CrashRecoveryTest, TransientReadFaultIsRetriedInPlace) {
   plan.rules.push_back(
       FaultRule{"ingest.read", {5}, 0.0, StatusCode::kUnavailable, 0});
   ScopedFaultInjection scope(plan);
+  obs::MetricsRegistry metrics;
   stream::IngestOptions options = IngestConfig(3, 1, "");
   options.retry.sleeper = [](std::chrono::nanoseconds) {};
+  options.metrics = &metrics;
   const IngestOutcome out =
       RunOnce(stream::ResumableFileFactory(*file_path_, kChunk), 2, 2, options);
   ASSERT_TRUE(out.ok) << out.status;
-  EXPECT_GE(out.stats.read_retries, 1u);
-  EXPECT_EQ(out.stats.read_exhausted, 0u);
+  EXPECT_GE(ReadRetryCounter(metrics, "ukc_retry_retries_total"), 1u);
+  EXPECT_EQ(ReadRetryCounter(metrics, "ukc_retry_exhausted_total"), 0u);
   ExpectCellsBitwiseEqual(out.cells, *baseline_);
 }
 
@@ -392,10 +405,13 @@ TEST_F(CrashRecoveryTest, ExhaustedRetriesFailTheRunThenRecover) {
     plan.rules.push_back(FaultRule{
         "ingest.read", {6, 7, 8}, 0.0, StatusCode::kUnavailable, 0});
     ScopedFaultInjection scope(plan);
-    const IngestOutcome out = RunOnce(factory, 2, 2, options);
+    obs::MetricsRegistry metrics;
+    stream::IngestOptions faulted = options;
+    faulted.metrics = &metrics;
+    const IngestOutcome out = RunOnce(factory, 2, 2, faulted);
     ASSERT_FALSE(out.ok);
     EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
-    EXPECT_GE(out.stats.read_exhausted, 1u);
+    EXPECT_GE(ReadRetryCounter(metrics, "ukc_retry_exhausted_total"), 1u);
   }
   const IngestOutcome recovery = RunOnce(factory, 2, 2, options);
   ASSERT_TRUE(recovery.ok) << recovery.status;

@@ -19,6 +19,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "stream/ingest.h"
 #include "uncertain/io.h"
 
@@ -257,22 +258,27 @@ TEST(ReadBlockFaultTest, TransientCodedRefillFaultIsNotRetriedIntoASplice) {
   plan.rules.push_back(
       FaultRule{"io.read_block", {2}, 0.0, StatusCode::kUnavailable, 0});
   ScopedFaultInjection scope(plan);
+  obs::MetricsRegistry metrics;
   stream::IngestOptions options;
   options.chunk_size = 1000;
   options.shards = 1;
   options.retry.max_attempts = 3;
+  options.metrics = &metrics;
   ThreadPool pool(1);
-  stream::IngestStats stats;
   auto coreset = stream::IngestCoreset(
       1, stream::ResumableFileFactory(path, options.chunk_size), options,
-      &pool, &stats);
+      &pool);
   ASSERT_FALSE(coreset.ok());
   EXPECT_EQ(coreset.status().code(), StatusCode::kInternal);
   EXPECT_NE(coreset.status().message().find(
                 "DatasetReader: read error at byte offset"),
             std::string::npos)
       << coreset.status();
-  EXPECT_EQ(stats.read_retries, 0u);
+  const obs::RegistrySnapshot snapshot = metrics.Snapshot();
+  const obs::MetricSnapshot* retries =
+      snapshot.Find("ukc_retry_retries_total", {{"site", "ingest.read"}});
+  ASSERT_NE(retries, nullptr);
+  EXPECT_EQ(retries->counter_value, 0u);
 }
 
 TEST(FaultSeedsFromEnvTest, ParsesSeedLists) {

@@ -39,6 +39,13 @@ ALLOWLIST = {
         "deployment tuning, documented in docs/operations.md",
     "RetryOptions::max_backoff":
         "deployment tuning, documented in docs/operations.md",
+    "IngestOptions::metrics":
+        "the test registry: shipped runs meter into the process-wide "
+        "default, tests read exact retry and checkpoint counts from a "
+        "private one",
+    "RegistryOptions::metrics":
+        "the test registry: shipped servers meter into the process-wide "
+        "default, tests read exact stats() from a private one",
     "RegistryOptions::degrade_after_failures":
         "deployment tuning of the serve watchdog, documented in "
         "docs/operations.md; tests drive it at 1, 2 and 100",

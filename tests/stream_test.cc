@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -809,6 +810,70 @@ TEST(StreamingPipelineTest, SolverReturningFewerThanKCentersStaysInBounds) {
     const double slack = 1e-9 * (1.0 + solution->verified_upper);
     EXPECT_LE(solution->verified_lower, solution->verified_exact + slack);
     EXPECT_GE(solution->verified_upper, solution->verified_exact - slack);
+  }
+}
+
+// The verify grid top at the edge of the coordinate domain: d = 64,
+// coordinates a hair inside sqrt(DBL_MAX / (4·d)), a cell width that
+// keeps every coreset key under 2^43, and points whose four locations
+// tie to within a few ulps, so the spread is rounding-sized and only
+// the diameter and the grid top's slack (pipeline.cc
+// kGridTopRelativeSlack) absorb the rounding of the bound. Every norm
+// and k = 1, 2 must verify rather than be refused with "exceeds the
+// certified grid top".
+TEST(StreamingPipelineTest, GridTopHoldsAtTheCoordinateDomainEdge) {
+  constexpr size_t kDim = 64;
+  const double edge = std::sqrt(std::numeric_limits<double>::max() /
+                                (4.0 * static_cast<double>(kDim))) *
+                      (1.0 - 2e-6);
+  for (metric::Norm norm :
+       {metric::Norm::kL2, metric::Norm::kL1, metric::Norm::kLInf}) {
+    auto space = std::make_shared<metric::EuclideanSpace>(kDim, norm);
+    std::vector<uncertain::UncertainPoint> points;
+    for (size_t i = 0; i < 8; ++i) {
+      // Two clusters at opposite corners; the points of a cluster sit
+      // 2^13 cell widths apart on every axis.
+      const double sign = i % 2 == 0 ? 1.0 : -1.0;
+      const double base =
+          sign * edge * (1.0 - std::ldexp(static_cast<double>(i / 2), -30));
+      std::vector<uncertain::Location> locations;
+      for (int l = 0; l < 4; ++l) {
+        std::vector<double> coords(kDim);
+        for (size_t a = 0; a < kDim; ++a) {
+          // Location l sits (l + a) % 3 ulps toward the origin.
+          double x = base;
+          for (size_t step = 0; step < (l + a) % 3; ++step) {
+            x = std::nextafter(x, 0.0);
+          }
+          coords[a] = x;
+        }
+        locations.push_back(
+            uncertain::Location{space->AddCoords(coords.data()), 0.25});
+      }
+      auto point = uncertain::UncertainPoint::Build(std::move(locations));
+      ASSERT_TRUE(point.ok()) << point.status();
+      points.push_back(std::move(point).value());
+    }
+    auto dataset = uncertain::UncertainDataset::Build(space, std::move(points));
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+
+    for (size_t k : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "norm=" << metric::NormToString(norm) << " k=" << k);
+      stream::StreamingOptions options;
+      options.k = k;
+      options.ingest.chunk_size = 3;
+      options.ingest.coreset.base_cell_width = std::ldexp(edge, -43);
+      stream::StreamingUncertainKCenter solver(options);
+      auto solution = solver.SolveDataset(&*dataset);
+      ASSERT_TRUE(solution.ok()) << solution.status();
+      EXPECT_EQ(solution->k, k);
+      EXPECT_EQ(solution->coreset_cells, 8u);
+      ASSERT_TRUE(std::isfinite(solution->verified_upper));
+      const double slack = 1e-9 * solution->verified_upper;
+      EXPECT_LE(solution->verified_lower, solution->verified_exact + slack);
+      EXPECT_GE(solution->verified_upper, solution->verified_exact - slack);
+    }
   }
 }
 
